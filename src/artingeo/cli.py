@@ -29,7 +29,7 @@ from pathlib import Path
 from .dihedral import DihedralContext
 from .largetype import ArtinGroup, HypothesisError, OnetailFailure
 from .presets import PRESET_NAMES, resolve_presentation
-from .sweeps import RunConfig, d1_scan, d2_scan, rd_check, repro_paper
+from .sweeps import d1_scan, d2_scan, rd_check, repro_paper
 from .words import format_word, parse_word
 
 CACHE_ENV = "ARTINGEO_CACHE"
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--out", default=None, help="directory for CSV/JSON artifacts")
     ap.add_argument("--allow-counterexample", action="store_true")
-    ap.add_argument("--workers", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nf", help="shortlex normal form with the reduction log")
@@ -333,18 +332,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "repro-paper":
             return cmd_repro(args)
-        config = RunConfig(
-            presentation=args.presentation,
-            radius=getattr(args, "radius", 6),
-            seed=getattr(args, "seed", 0),
-            trials=getattr(args, "trials", 0),
-            allow_counterexample=args.allow_counterexample,
-            workers=args.workers,
-            outdir=args.out,
-        )
-        pres_id, _pres = config.resolve()
-        args.pres_id = pres_id
-        group = config.group()
+        args.pres_id, pres = resolve_presentation(args.presentation)
+        group = ArtinGroup(pres, allow_counterexample=args.allow_counterexample)
         handlers = {
             "nf": cmd_nf,
             "geodesic": cmd_geodesic,

@@ -22,6 +22,7 @@ each radius from the previous maximiser.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 import numpy as np
@@ -133,15 +134,12 @@ def permissible_fact_counts(
     """|Fact_{P,k,l}(g)| for every g in C_{k+l}, via forward product walks."""
     if k + l > ball.radius:
         raise ValueError("ball too small for the requested factorisations")
+    us, vs = ball.sphere(k), ball.sphere(l)
+    pairs = itertools.product([ball.element(i) for i in us], [ball.element(i) for i in vs])
     counts: dict[int, int] = {}
-    for ui in ball.sphere(k):
-        u = ball.element(ui)
-        for vi in ball.sphere(l):
-            gi = ball.walk(ui, ball.words[vi])
-            if gi < 0 or ball.length[gi] != k + l:
-                continue
-            if group.permissible(u, ball.element(vi)):
-                counts[gi] = counts.get(gi, 0) + 1
+    for (u, v), gi in zip(pairs, ball.products(us, vs)):
+        if ball.length[gi] == k + l and group.permissible(u, v):
+            counts[gi] = counts.get(gi, 0) + 1
     return counts
 
 
@@ -225,14 +223,9 @@ def star_star_trials(
     cl = ball.sphere(l)
     if not ck or not cl:
         return []
-    # precompute the product and its length for every support pair
-    pairs = []
-    for ui in ck:
-        row = []
-        for vi in cl:
-            gi = ball.walk(ui, ball.words[vi])
-            row.append(gi)
-        pairs.append(row)
+    # precompute the product for every support pair, one row per u
+    prods = ball.products(ck, cl)
+    pairs = [prods[a : a + len(cl)] for a in range(0, len(prods), len(cl))]
 
     def ratio(fu: np.ndarray, fv: np.ndarray) -> float:
         acc: dict[int, complex] = {}
@@ -243,7 +236,7 @@ def star_star_trials(
             row = pairs[a]
             for b in range(len(cl)):
                 gi = row[b]
-                if gi >= 0 and ball.length[gi] == m:
+                if ball.length[gi] == m:
                     acc[gi] = acc.get(gi, 0) + cu * fv[b]
         num = np.sqrt(sum(abs(v) ** 2 for v in acc.values()))
         den = np.linalg.norm(fu) * np.linalg.norm(fv)
@@ -299,15 +292,10 @@ def operator_norm_estimate(
     ell = max(len(w) for w in supp)
     big = _ball if _ball is not None else group.ball(radius + ell)
     inner = [i for i in range(len(big)) if big.length[i] <= radius]
-    inner_pos = {idx: pos for pos, idx in enumerate(inner)}
     coeff = np.array([phi.coeffs[w] for w in supp])
-    # scatter maps: position of h * v in the big ball for each inner v
-    scatter = []
-    for w in supp:
-        base = big.index[w]
-        scatter.append(
-            np.array([big.walk(base, big.words[v]) for v in inner], dtype=np.int64)
-        )
+    # scatter maps: position of h * v in the big ball for each inner v, one row per h
+    prods = np.array(big.products([big.index[w] for w in supp], inner), dtype=np.int64)
+    scatter = list(prods.reshape(len(supp), len(inner)))
     dim_big = len(big)
 
     def apply_T(x: np.ndarray) -> np.ndarray:

@@ -18,17 +18,23 @@ through the tau-calculus at all.
 
 Ball enumeration, geodesic-word enumeration and factorisation counting are
 all driven by the canonical form, never by the engine; engine results are
-compared against this module in the test suite.
+compared against this module in the test suite.  The breadth-first
+bookkeeping of a ball (ids, adjacency, spheres, walks) is the table type
+:class:`artingeo.shortlex.CayleyBall` shared with the engine ball, but the
+table holds no engine: an oracle ball decides equality only through
+:meth:`Oracle.canon`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 from .critical import LabelFn, apply_tau_at, critical_spans, pair_label_fn
 from .presentation import INF, CoxeterPresentation, format_presentation
-from .shortlex import LetterOrder, default_order
+from .shortlex import BallBudgetError  # noqa: F401  (raised by Ball; importable from here)
+from .shortlex import CayleyBall, LetterOrder, default_order
 from .words import Word, free_reduce, inverse_word, parse_word
 
 
@@ -99,19 +105,7 @@ class Oracle:
         return len(self.canon(w)) == len(w)
 
 
-class BallBudgetError(RuntimeError):
-    """Raised when enumeration exceeds its element budget; carries the
-    largest fully enumerated radius and its ball."""
-
-    def __init__(self, partial: "Ball", complete_radius: int):
-        super().__init__(
-            f"ball budget exceeded; complete up to radius {complete_radius}"
-        )
-        self.partial = partial
-        self.complete_radius = complete_radius
-
-
-class Ball:
+class Ball(CayleyBall):
     """
     The radius-R ball of the Cayley graph, enumerated by breadth-first
     search over canonical representatives, with the right-multiplication
@@ -123,67 +117,14 @@ class Ball:
 
     def __init__(self, oracle: Oracle, radius: int, max_elements=None, _load=None):
         self.oracle = oracle
-        self.radius = radius
-        letters = [a for g in range(1, oracle.pres.n + 1) for a in (g, -g)]
-        self.letters = letters
-        self._letter_col = {a: c for c, a in enumerate(letters)}
-        if _load is not None:
-            self.words, self.adj = _load
-            self.index = {w: i for i, w in enumerate(self.words)}
-        else:
-            self.words = [()]
-            self.index = {(): 0}
-            adj: list[list[int]] = []
-            frontier: list[Word] = [()]
-            depth = 0
-            while frontier:
-                nxt: list[Word] = []
-                for w in frontier:
-                    row = []
-                    for a in letters:
-                        res = oracle.canon(w + (a,))
-                        if len(res) > radius:
-                            row.append(-1)
-                            continue
-                        idx = self.index.get(res)
-                        if idx is None:
-                            idx = len(self.words)
-                            self.words.append(res)
-                            self.index[res] = idx
-                            nxt.append(res)
-                        row.append(idx)
-                    adj.append(row)
-                if max_elements is not None and len(self.words) > max_elements:
-                    partial = Ball(oracle, depth, _load=None)
-                    raise BallBudgetError(partial, depth)
-                frontier = nxt
-                depth += 1
-            self.adj = adj
-        self.length = [len(w) for w in self.words]
-        self._spheres: dict[int, list[int]] = {}
-        for i, L in enumerate(self.length):
-            self._spheres.setdefault(L, []).append(i)
         self._geodesic_words: dict[int, tuple[Word, ...]] = {}
         self._fact: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def sphere(self, k: int) -> list[int]:
-        return self._spheres.get(k, [])
-
-    def sphere_sizes(self) -> dict[int, int]:
-        return {k: len(v) for k, v in sorted(self._spheres.items())}
-
-    def step(self, idx: int, a: int) -> int:
-        return self.adj[idx][self._letter_col[a]]
-
-    def walk(self, idx: int, word: Word) -> int:
-        for a in word:
-            idx = self.adj[idx][self._letter_col[a]]
-            if idx < 0:
-                return -1
-        return idx
+        if _load is not None:
+            self._adopt(oracle.pres.n, radius, *_load)
+        else:
+            super().__init__(
+                lambda w, a: oracle.canon(w + (a,)), oracle.pres.n, radius, max_elements
+            )
 
     def id_of(self, word) -> int:
         c = self.oracle.canon(word)
@@ -240,11 +181,10 @@ class Ball:
             return hit
         if k + l > self.radius:
             raise ValueError("fact_table requires k + l <= radius")
+        us, vs = self.sphere(k), self.sphere(l)
         table: dict[int, list[tuple[int, int]]] = {}
-        for u in self.sphere(k):
-            for v in self.sphere(l):
-                g = self.walk(u, self.words[v])
-                table.setdefault(g, []).append((u, v))
+        for pair, g in zip(itertools.product(us, vs), self.products(us, vs)):
+            table.setdefault(g, []).append(pair)
         self._fact[key] = table
         return table
 
@@ -284,8 +224,14 @@ class Ball:
 
     @staticmethod
     def load(path, oracle: Oracle) -> "Ball":
+        """Read a saved ball; ValueError on a file that is not a well-formed
+        table for this presentation and letter order."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        keys = ("version", "presentation", "order", "radius", "words", "adj")
+        missing = [k for k in keys if not isinstance(data, dict) or k not in data]
+        if missing:
+            raise ValueError(f"ball cache {path} lacks {', '.join(missing)}")
         if data["version"] != Ball.VERSION:
             raise ValueError(f"unsupported ball cache version {data['version']}")
         if data["order"] != list(oracle.order):
@@ -293,7 +239,17 @@ class Ball:
         if data["presentation"] != format_presentation(oracle.pres):
             raise ValueError("ball cache belongs to a different presentation")
         words = [tuple(w) for w in data["words"]]
-        return Ball(oracle, data["radius"], _load=(words, data["adj"]))
+        adj = data["adj"]
+        N = len(words)
+        if len(adj) != N:
+            raise ValueError(f"ball cache has {len(adj)} adjacency rows for {N} words")
+        width = 2 * oracle.pres.n
+        for row in adj:
+            if len(row) != width:
+                raise ValueError(f"ball cache adjacency row of width {len(row)}, not {width}")
+            if not all(type(i) is int and -1 <= i < N for i in row):
+                raise ValueError(f"ball cache adjacency id outside [-1, {N})")
+        return Ball(oracle, data["radius"], _load=(words, adj))
 
 
 def ball_cache_name(oracle: Oracle, radius: int) -> str:

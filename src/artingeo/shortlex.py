@@ -20,7 +20,7 @@ append cache, which doubles as the Cayley automaton of the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .critical import (
     LabelFn,
@@ -220,45 +220,82 @@ class ShortlexEngine:
         return eng
 
 
-class ElementBall:
+class BallBudgetError(RuntimeError):
+    """Raised when enumeration exceeds its element budget; carries the
+    largest fully enumerated radius and its ball."""
+
+    def __init__(self, partial: "CayleyBall", complete_radius: int):
+        super().__init__(
+            f"ball budget exceeded; complete up to radius {complete_radius}"
+        )
+        self.partial = partial
+        self.complete_radius = complete_radius
+
+
+class CayleyBall:
     """
     Breadth-first enumeration of the ball of a given radius, with the
     right-multiplication adjacency table (the Cayley automaton restricted to
-    the ball).  Products u * v with |u| + |v| <= radius can be evaluated by
-    table walks without leaving the ball.
+    the ball).  Elements are integer ids in breadth-first order.
+
+    The table holds no engine: it is built from a function append(z, a)
+    returning the normal form of z*a, and two words name the same element
+    exactly when append produced the same word.  Products u * v with
+    |u| + |v| <= radius are table walks that never leave the ball.
     """
 
-    def __init__(self, engine: ShortlexEngine, radius: int):
-        self.engine = engine
-        self.radius = radius
-        self.words: list[Word] = [()]
-        self.index: dict[Word, int] = {(): 0}
-        letters = engine.letters()
-        self.letters = letters
-        self._letter_col = {a: c for c, a in enumerate(letters)}
+    def __init__(
+        self,
+        append: Callable[[Word, int], Word],
+        n: int,
+        radius: int,
+        max_elements: int | None = None,
+    ):
+        letters = default_order(n)
+        words: list[Word] = [()]
+        index: dict[Word, int] = {(): 0}
         adj: list[list[int]] = []
-        frontier = [()]
+        frontier: list[Word] = [()]
+        depth = 0
         while frontier:
             nxt: list[Word] = []
             for w in frontier:
                 row = []
                 for a in letters:
-                    res = engine.append(w, a)
+                    res = append(w, a)
                     if len(res) > radius:
                         row.append(-1)
                         continue
-                    idx = self.index.get(res)
+                    idx = index.get(res)
                     if idx is None:
-                        idx = len(self.words)
-                        self.words.append(res)
-                        self.index[res] = idx
+                        idx = len(words)
+                        words.append(res)
+                        index[res] = idx
                         nxt.append(res)
                     row.append(idx)
                 adj.append(row)
+            if max_elements is not None and len(words) > max_elements:
+                # keep the complete ball of radius `depth`: every row built
+                # so far, with the cells reaching the next sphere cut to -1
+                cut = len(adj)
+                adj = [[i if i < cut else -1 for i in row] for row in adj]
+                self._adopt(n, depth, words[:cut], adj)
+                raise BallBudgetError(self, depth)
             frontier = nxt
-        # rows were appended in BFS order, which matches self.words order
+            depth += 1
+        # rows were appended in BFS order, which matches the words order
+        self._adopt(n, radius, words, adj, index)
+
+    def _adopt(self, n: int, radius: int, words: list[Word], adj: list[list[int]], index=None):
+        """Install a table: the words in id order, one adjacency row per word
+        (columns in default letter order) and, unless given, the word index."""
+        self.radius = radius
+        self.letters = default_order(n)
+        self._letter_col = {a: c for c, a in enumerate(self.letters)}
+        self.words = words
+        self.index = index if index is not None else {w: i for i, w in enumerate(words)}
         self.adj = adj
-        self.length = [len(w) for w in self.words]
+        self.length = [len(w) for w in words]
         self._spheres: dict[int, list[int]] = {}
         for idx, L in enumerate(self.length):
             self._spheres.setdefault(L, []).append(idx)
@@ -282,6 +319,36 @@ class ElementBall:
             if idx < 0:
                 return -1
         return idx
+
+    def products(self, us: Sequence[int], vs: Sequence[int]) -> list[int]:
+        """
+        Ids of u * v for u in us and v in vs, row-major (each u in turn,
+        then each v).  Raises ValueError unless max|u| + max|v| <= radius,
+        so every product lies in the ball.
+        """
+        if not us or not vs:
+            return []
+        length = self.length
+        if max(length[u] for u in us) + max(length[v] for v in vs) > self.radius:
+            raise ValueError(f"products u * v leave the ball of radius {self.radius}")
+        adj = self.adj
+        cols = [[self._letter_col[a] for a in self.words[v]] for v in vs]
+        out: list[int] = []
+        for u in us:
+            for path in cols:
+                g = u
+                for c in path:
+                    g = adj[g][c]
+                out.append(g)
+        return out
+
+
+class ElementBall(CayleyBall):
+    """The ball enumerated by the shortlex engine's append."""
+
+    def __init__(self, engine: ShortlexEngine, radius: int):
+        self.engine = engine
+        super().__init__(engine.append, engine.pres.n, radius)
 
     def element(self, idx: int) -> GroupElement:
         return GroupElement(self.engine, self.words[idx])

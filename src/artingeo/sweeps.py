@@ -10,40 +10,14 @@ JSON artifacts.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
 
 from .dihedral import DihedralContext
 from .harmonic import permissible_fact_sup, star_star_trials
 from .largetype import ArtinGroup, OnetailFailure
 from .oracle import Oracle
-from .presentation import CoxeterPresentation
-from .presets import resolve_presentation
 from .words import format_word, parse_word
-
-
-@dataclass
-class RunConfig:
-    """Everything a campaign run depends on; equal configs give equal artifacts."""
-
-    presentation: str = "da3"
-    order: tuple[int, ...] | None = None
-    radius: int = 6
-    seed: int = 0
-    trials: int = 50
-    min_kl: tuple[int, ...] = (1, 2, 3)
-    allow_counterexample: bool = False
-    workers: int = 1  # accepted for compatibility; campaigns run serially
-    outdir: str | None = None
-
-    def resolve(self) -> tuple[str, CoxeterPresentation]:
-        return resolve_presentation(self.presentation)
-
-    def group(self) -> ArtinGroup:
-        _, pres = self.resolve()
-        return ArtinGroup(
-            pres, order=self.order, allow_counterexample=self.allow_counterexample
-        )
 
 
 # -- D1: permissible factorisation counts --------------------------------------
@@ -94,12 +68,13 @@ def d2_scan(group: ArtinGroup, radius: int, pres_id="pres"):
     events: list[str] = []
     for k in range(0, radius + 1):
         for l in range(0, radius - k + 1):
+            us, vs = ball.sphere(k), ball.sphere(l)
+            pairs = itertools.product(
+                [ball.element(i) for i in us], [ball.element(i) for i in vs]
+            )
             buckets: dict[int, list] = {}
-            for ui in ball.sphere(k):
-                u = ball.element(ui)
-                for vi in ball.sphere(l):
-                    gi = ball.walk(ui, ball.words[vi])
-                    buckets.setdefault(gi, []).append((u, ball.element(vi)))
+            for pair, gi in zip(pairs, ball.products(us, vs)):
+                buckets.setdefault(gi, []).append(pair)
             for gi in sorted(buckets):
                 g = ball.element(gi)
                 st = group.build_s_t(g, k, l, pairs=buckets[gi])

@@ -15,7 +15,7 @@ index).  Whitespace is optional and ignored.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Letter = int
 Word = tuple[int, ...]
@@ -23,25 +23,9 @@ Word = tuple[int, ...]
 EMPTY: Word = ()
 
 
-def letter(gen: int, sign: int = 1) -> Letter:
-    if gen < 1:
-        raise ValueError(f"generator index must be >= 1, got {gen}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return gen * sign
-
-
 def name(a: Letter) -> int:
     """The generator index of a letter, ignoring its sign."""
     return a if a > 0 else -a
-
-
-def inverse_letter(a: Letter) -> Letter:
-    return -a
-
-
-def is_positive(a: Letter) -> bool:
-    return a > 0
 
 
 def inverse_word(w: Word) -> Word:
@@ -192,11 +176,3 @@ def format_word(w: Word) -> str:
         else:
             parts.append(f"x{g}" if a > 0 else f"X{g}")
     return "".join(parts)
-
-
-def subwords(w: Word) -> Iterator[tuple[int, int]]:
-    """All (start, end) spans of nonempty subwords, end exclusive."""
-    L = len(w)
-    for i in range(L):
-        for j in range(i + 1, L + 1):
-            yield i, j

@@ -171,3 +171,16 @@ def test_ball_cache_env(tmp_path, capsys, monkeypatch):
     assert len(cache_files) == 1
     code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "3")
     assert code == 0 and payload["cache"]["loaded"] is True
+
+
+def test_ball_cache_corrupt_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ARTINGEO_CACHE", str(tmp_path))
+    code, _ = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
+    assert code == 0
+    (path,) = tmp_path.glob("ball_*.json")
+    data = json.loads(path.read_text())
+    del data["order"]
+    path.write_text(json.dumps(data))
+    code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
+    assert code == 2 and payload["type"] == "ValueError"
+    assert "order" in payload["error"]

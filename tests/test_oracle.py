@@ -188,3 +188,66 @@ def test_ball_budget():
     assert exc.value.complete_radius >= 1
     partial = exc.value.partial
     assert len(partial.sphere(1)) == 4
+    # the partial is the prefix the enumeration already built, cut to the
+    # complete radius exactly as a fresh ball of that radius
+    R = exc.value.complete_radius
+    full = Ball(orc, 6)
+    assert partial.radius == R
+    assert partial.words == full.words[: len(partial)]
+    fresh = Ball(orc, R)
+    assert partial.words == fresh.words
+    assert partial.adj == fresh.adj
+    assert partial.index == fresh.index
+
+
+def test_engine_and_oracle_balls_agree_cell_by_cell(stash):
+    # the two balls share the breadth-first bookkeeping but decide equality
+    # independently (engine append versus oracle closure), so every id and
+    # every adjacency cell must coincide
+    for name, radius in (("da3", 5), ("triangle345", 4), ("triangle444", 4)):
+        engine_ball = stash.group(name).ball(radius)
+        oracle_ball = stash.oracle_ball(name, radius)
+        assert engine_ball.words == oracle_ball.words, name
+        assert engine_ball.adj == oracle_ball.adj, name
+
+
+def test_products_match_pairwise_walks(stash):
+    ball = stash.oracle_ball("da3", 5)
+    for k, l in ((0, 3), (2, 2), (1, 4), (3, 2)):
+        us, vs = ball.sphere(k), ball.sphere(l)
+        want = [ball.walk(u, ball.words[v]) for u in us for v in vs]
+        assert ball.products(us, vs) == want
+        assert min(want) >= 0
+    engine_ball = stash.group("da3").ball(5)
+    us, vs = engine_ball.sphere(2), engine_ball.sphere(3)
+    assert engine_ball.products(us, vs) == ball.products(us, vs)
+    assert ball.products([], vs) == []
+    # refused whenever max|u| + max|v| exceeds the radius
+    with pytest.raises(ValueError):
+        ball.products(ball.sphere(3), ball.sphere(3))
+    with pytest.raises(ValueError):
+        ball.products([0, ball.sphere(5)[0]], [ball.sphere(1)[0]])
+
+
+def test_ball_load_rejects_malformed_tables(tmp_path):
+    import json
+
+    orc = Oracle(CoxeterPresentation.dihedral(3))
+    ball = Ball(orc, 3)
+    path = tmp_path / "ball.json"
+    ball.save(path)
+    good = json.loads(path.read_text())
+    N = len(good["words"])
+    corruptions = {
+        "truncated adj": {"adj": good["adj"][:3]},
+        "short row": {"adj": [good["adj"][0][:3]] + good["adj"][1:]},
+        "id past the end": {"adj": [[N] + good["adj"][0][1:]] + good["adj"][1:]},
+        "id below -1": {"adj": [[-2] + good["adj"][0][1:]] + good["adj"][1:]},
+    }
+    for patch in corruptions.values():
+        path.write_text(json.dumps({**good, **patch}))
+        with pytest.raises(ValueError, match="ball cache"):
+            Ball.load(path, orc)
+    path.write_text(json.dumps({k: v for k, v in good.items() if k != "words"}))
+    with pytest.raises(ValueError, match="lacks words"):
+        Ball.load(path, orc)
