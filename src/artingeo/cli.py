@@ -26,7 +26,6 @@ import os
 import sys
 from pathlib import Path
 
-from .dihedral import DihedralContext
 from .largetype import ArtinGroup, HypothesisError, OnetailFailure
 from .presets import PRESET_NAMES, resolve_presentation
 from .sweeps import d1_scan, d2_scan, rd_check, repro_paper
@@ -86,7 +85,7 @@ def cmd_geodesic(group, args):
     }
     lines = [f"geodesic: {geo} (word length {len(word)}, element length {len(nf)})"]
     if group.pres.is_dihedral():
-        ctx = DihedralContext(group.pres.label(1, 2))
+        ctx = group.dihedral_ctx(1, 2)
         from .words import is_freely_reduced
 
         if is_freely_reduced(word):
@@ -107,7 +106,7 @@ def cmd_ball(group, args):
     cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir:
         # build (or reload) the oracle ball through the cache directory and
-        # cross-check its sphere sizes against the engine enumeration
+        # cross-check it, cell by cell, against the engine's table
         from .oracle import Ball, Oracle, ball_cache_name
 
         oracle = Oracle(group.pres)
@@ -120,7 +119,7 @@ def cmd_ball(group, args):
             path.parent.mkdir(parents=True, exist_ok=True)
             oball.save(path)
             payload["cache"] = {"file": str(path), "loaded": False}
-        if oball.sphere_sizes() != sizes:
+        if oball.words != ball.words or oball.adj != ball.adj:
             raise ValueError("oracle ball disagrees with the engine enumeration")
     if args.out:
         out = Path(args.out)
@@ -193,11 +192,9 @@ def cmd_merge(group, args):
 def cmd_compress(group, args):
     if not group.pres.is_dihedral():
         raise ValueError("compress works in dihedral presentations")
-    ctx = DihedralContext(group.pres.label(1, 2))
-    g1 = ctx.element(parse_word(args.w1))
-    g2 = ctx.element(parse_word(args.w2))
-    t = ctx.merge(g1, g2)
-    c = ctx.compress(t)
+    ctx = group.dihedral_ctx(1, 2)
+    t = group.merge(group.element(parse_word(args.w1)), group.element(parse_word(args.w2)))
+    c = ctx.compress(ctx.element(t.f1.word), t.r, ctx.element(t.f2.word))
     payload = {
         "merger": {"f1": format_word(t.f1.word), "r": t.r, "f2": format_word(t.f2.word)},
         "word": format_word(c.word),

@@ -102,14 +102,6 @@ def pn_values(w: Word, m: int) -> tuple[int, int]:
     return min(m, p), min(m, n)
 
 
-def is_geodesic_2gen(w: Word, m: Optional[int]) -> bool:
-    """Geodesic criterion p + n <= m; always true for an unconstrained pair."""
-    if m is None:
-        return is_freely_reduced(w)
-    p, n = pn_values(w, m)
-    return p + n <= m
-
-
 # ---------------------------------------------------------------------------
 # Critical words and tau
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """
 The dihedral Artin group DA(m) = <x1, x2 | alt_m(x1,x2) = alt_m(x2,x1)>.
 
-Everything the 2-generator theory provides lives here: the geodesic
-criterion p + n <= m, the Garside element Delta and its letter permutation
-delta, critical words and tau, reduction to geodesics, Garside powers d(g),
-the permissible factorisation set P = P1 u P2, merging of factorisation
-pairs into (f1, Delta^r, f2) triples, and the compression of such triples
-back into geodesic words.
+The 2-generator calculus lives here: the geodesic criterion p + n <= m,
+the Garside element Delta and its letter permutation delta, critical words
+and tau, reduction to geodesics, Garside powers d(g), the permissible
+factorisation set P = P1 u P2, divisor enumeration, and the compression of
+merger triples (f1, Delta^r, f2) back into geodesic words.
 
 Permissible factorisations of a signed element g are those (g1, g2) with
 |g1| + |g2| = |g| such that either one factor has a geodesic spelling with
@@ -14,18 +13,9 @@ at most two syllables (P1), or d(g1) + d(g2) = d(g) (P2, the factorisation
 does not lose Garside power).  For unsigned g, and in the free case m = inf,
 every geodesic factorisation is permissible.
 
-Merging strips material from the facing ends of a pair (g1, g2), one move
-at a time, while both stripped-down sides remain permissible left and right
-divisors of the originals:
-
-  (i)   cancellation:      h * delta^r(h') = 1,
-  (ii)  double Delta:      h = h' = Delta^e, r increases by 2e,
-  (iii) Delta extraction:  h * delta^r(h') = Delta^e, r increases by e,
-
-preferring lower move numbers, then longer h, then shortlex-smaller h.
-When no move applies the triple (f1, Delta^r, f2) is a merger: writing
-h1 = f1^-1 g1 and h2 = g2 f2^-1 one has h1 h2 = Delta^r, both side
-factorisations permissible, |r| <= min(k, l) and |h1|, |h2| <= (m-1) min(k, l).
+Merging is not done here: DA(m) is the n = 2 case of ArtinGroup.merge in
+artingeo.largetype.  Merge a pair in ArtinGroup(CoxeterPresentation.dihedral(m))
+and pass the resulting (f1, r, f2), as elements of this context, to compress.
 """
 
 from __future__ import annotations
@@ -59,26 +49,6 @@ from .words import (
 
 class CompressionShapeError(ValueError):
     """The triple does not have the shape a completed merger guarantees."""
-
-
-@dataclass(frozen=True)
-class MergeStep:
-    kind: str  # 'cancel' | 'double-delta' | 'delta-extract'
-    h: Word
-    h_prime: Word
-    r_after: int
-
-
-@dataclass(frozen=True)
-class MergerTripleD:
-    """A merger (f1, Delta^r, f2) of the pair (g1, g2), with its trace."""
-
-    f1: GroupElement
-    r: int
-    f2: GroupElement
-    h1: GroupElement
-    h2: GroupElement
-    trace: tuple[MergeStep, ...]
 
 
 @dataclass(frozen=True)
@@ -161,10 +131,6 @@ class DihedralContext:
     def delta_word(self, w: Word, power: int = 1) -> Word:
         self._require_finite()
         return delta_word(w, self.pair, self.m, power)
-
-    def delta_conj(self, g: GroupElement, power: int = 1) -> GroupElement:
-        """delta^power(g) = Delta^power g Delta^-power (letterwise on words)."""
-        return self.element(self.delta_word(g.word, power))
 
     # -- geodesics -----------------------------------------------------------
 
@@ -268,9 +234,6 @@ class DihedralContext:
         """f in P_l(g), i.e. (f, f^-1 g) in P(g)."""
         return self.permissible(f, f.inv() * g)[0]
 
-    def right_divisor_permissible(self, g: GroupElement, f: GroupElement) -> bool:
-        return self.permissible(g * f.inv(), f)[0]
-
     # -- divisor enumeration ---------------------------------------------------
 
     def right_divisor_words(self, g: GroupElement, j: int) -> tuple[Word, ...]:
@@ -283,83 +246,6 @@ class DihedralContext:
             self._rdiv[key] = hit
         return hit
 
-    # -- merging ----------------------------------------------------------------
-
-    def merge(self, g1: GroupElement, g2: GroupElement) -> MergerTripleD:
-        """Run the merging process on (g1, g2) until no move applies."""
-        f1, f2, r = g1, g2, 0
-        trace: list[MergeStep] = []
-        while True:
-            mv = self._find_merge_move(g1, g2, f1, f2, r)
-            if mv is None:
-                break
-            kind, h, hp, r = mv
-            f1 = f1 * h.inv()
-            f2 = hp.inv() * f2
-            trace.append(MergeStep(kind, h.word, hp.word, r))
-        h1 = f1.inv() * g1
-        h2 = g2 * f2.inv()
-        return MergerTripleD(f1, r, f2, h1, h2, tuple(trace))
-
-    def _strip_ok(self, g1, g2, f1, f2, h, hp) -> tuple | None:
-        """Check one candidate (h, h'): geodesic strips plus P-membership."""
-        fn = f1 * h.inv()
-        if len(fn) != len(f1) - len(h):
-            return None
-        if not self.left_divisor_permissible(g1, fn):
-            return None
-        gn = hp.inv() * f2
-        if len(gn) != len(f2) - len(hp):
-            return None
-        if not self.right_divisor_permissible(g2, gn):
-            return None
-        return fn, gn
-
-    def _find_merge_move(self, g1, g2, f1, f2, r):
-        m_fin = self.m is not INF
-        # (i) cancellation: h delta^r(h') = 1, h as long as possible
-        for j in range(min(len(f1), len(f2)), 0, -1):
-            for hw in self.right_divisor_words(f1, j):
-                h = GroupElement(self.engine, hw)
-                hp = self.delta_conj(h.inv(), r) if (m_fin and r % 2) else h.inv()
-                if self._strip_ok(g1, g2, f1, f2, h, hp):
-                    return ("cancel", h, hp, r)
-        if not m_fin:
-            return None
-        # (ii) both signed, h = h' = Delta^eps
-        if f1.sign != "unsigned" and f2.sign != "unsigned":
-            for eps in (1, -1):
-                if len(f1) < self.m or len(f2) < self.m:
-                    break
-                h = self.delta_elem(eps)
-                if self._strip_ok(g1, g2, f1, f2, h, h):
-                    return ("double-delta", h, h, r + 2 * eps)
-        # (iii) Delta extraction: h delta^r(h') = Delta^eps
-        delta = {1: self.delta_elem(1), -1: self.delta_elem(-1)}
-        for j in range(len(f1), 0, -1):
-            for hw in self.right_divisor_words(f1, j):
-                h = GroupElement(self.engine, hw)
-                for eps in (1, -1):
-                    hp = h.inv() * delta[eps]
-                    if r % 2:
-                        hp = self.delta_conj(hp, r)
-                    if len(hp) == 0:
-                        continue
-                    if self._strip_ok(g1, g2, f1, f2, h, hp):
-                        return ("delta-extract", h, hp, r + eps)
-        return None
-
-    def replay_trace(self, g1: GroupElement, g2: GroupElement, trace) -> MergerTripleD:
-        """Re-run a recorded trace from (g1, 0, g2); used as an invariant check."""
-        f1, f2, r = g1, g2, 0
-        for step in trace:
-            f1 = f1 * GroupElement(self.engine, step.h).inv()
-            f2 = GroupElement(self.engine, step.h_prime).inv() * f2
-            r = step.r_after
-        h1 = f1.inv() * g1
-        h2 = g2 * f2.inv()
-        return MergerTripleD(f1, r, f2, h1, h2, tuple(trace))
-
     # -- compression ---------------------------------------------------------------
 
     def _signed_garside_power(self, g: GroupElement) -> int:
@@ -369,14 +255,14 @@ class DihedralContext:
         eps = 1 if g.sign == "positive" else -1
         return eps * self.garside_power(g)
 
-    def compress(self, triple: MergerTripleD) -> CompressionResult:
+    def compress(self, f1: GroupElement, r: int, f2: GroupElement) -> CompressionResult:
         """
-        Turn a merger (f1, Delta^r, f2) into a geodesic spelling
-        u4 delta^{r'-s}(v4) Delta^s of f1 Delta^r f2, and name kappa = (u4)_G.
+        Turn a merger (f1, Delta^r, f2), with f1 and f2 elements of this
+        context, into a geodesic spelling u4 delta^{r'-s}(v4) Delta^s of
+        f1 Delta^r f2, and name kappa = (u4)_G.
         """
         self._require_finite()
         m = self.m
-        f1, r, f2 = triple.f1, triple.r, triple.f2
         d1 = self._signed_garside_power(f1)
         d2 = self._signed_garside_power(f2)
         if d1 and d2:

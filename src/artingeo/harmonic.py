@@ -97,12 +97,7 @@ class GroupFunction:
             )
         )
 
-    # -- restriction and convolution -----------------------------------------------
-
-    def sphere_restrict(self, k: int) -> "GroupFunction":
-        return GroupFunction(
-            self.group, {w: v for w, v in self.coeffs.items() if len(w) == k}
-        )
+    # -- convolution ---------------------------------------------------------------
 
     def convolve(self, other: "GroupFunction") -> "GroupFunction":
         engine = self.group.engine

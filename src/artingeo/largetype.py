@@ -9,12 +9,27 @@ letters of names i and j first and taking the maximal {i,j}-prefix of the
 resulting normal form, RD by inverting.
 
 A geodesic factorisation (g1, g2) is *permissible* when the dihedral pair
-(RD_ij(g1), LD_ij(g2)) is permissible in G(i,j) for every pair i < j.  The
-merging process of the dihedral theory extends to several generators with
-one extra rule: while the accumulated middle power Delta_ij^r is nonzero all
-moves must take h, h' inside the active G(i,j); when r = 0 cancellation is
+(RD_ij(g1), LD_ij(g2)) is permissible in G(i,j) for every pair i < j.
+
+Merging strips material from the facing ends of a pair (g1, g2), one move
+at a time, while both stripped-down sides remain permissible left and right
+divisors of the originals:
+
+  (i)   cancellation:      h * delta^r(h') = 1,
+  (ii)  double Delta:      h = h' = Delta_ij^e, r increases by 2e,
+  (iii) Delta extraction:  h * delta^r(h') = Delta_ij^e, r increases by e,
+
+preferring lower move numbers, then longer h, then shortlex-smaller h.
+While the accumulated middle power Delta_ij^r is nonzero all moves must
+take h, h' inside the active G(i,j); when r = 0 cancellation is
 unrestricted and a Delta move fixes a new active pair (the lexicographically
-least pair admitting one; only finite labels can).
+least pair admitting one; only finite labels can).  When no move applies
+the triple (f1, Delta_ij^r, f2) is a merger: writing h1 = f1^-1 g1 and
+h2 = g2 f2^-1 one has h1 h2 = Delta_ij^r and both side factorisations
+permissible.  The dihedral group DA(m) is the n = 2 case,
+ArtinGroup(CoxeterPresentation.dihedral(m)), with the one pair (1, 2) and the
+bounds |r| <= min(k, l) and |h1|, |h2| <= (m-1) min(k, l);
+DihedralContext.compress turns its mergers back into geodesic words.
 
 Mergers of all length-(k,l) decompositions of g form the set S(g,k,l); T(k,l)
 collects the middle powers.  S splits into S0 (r = 0 with both sides powers
@@ -35,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dihedral import DihedralContext, MergeStep
+from .dihedral import DihedralContext
 from .presentation import CoxeterPresentation, INF
 from .shortlex import ElementBall, GroupElement, LetterOrder, ShortlexEngine
 from .words import Word, names, syllable_count
@@ -52,6 +67,14 @@ class OnetailFailure(ValueError):
         super().__init__(message)
         self.letters = letters
         self.witnesses = witnesses
+
+
+@dataclass(frozen=True)
+class MergeStep:
+    kind: str  # 'cancel' | 'double-delta' | 'delta-extract'
+    h: Word
+    h_prime: Word
+    r_after: int
 
 
 @dataclass(frozen=True)
@@ -221,9 +244,6 @@ class ArtinGroup:
 
     def rd(self, g: GroupElement, i: int, j: int) -> GroupElement:
         return self.ld(g.inv(), i, j).inv()
-
-    def in_parabolic(self, g: GroupElement, i: int, j: int) -> bool:
-        return self.ld(g, i, j) == g
 
     def ld_prime(self, g: GroupElement, i: int, j: int):
         """
@@ -458,10 +478,14 @@ class ArtinGroup:
     def _in_single_generator(self, g: GroupElement) -> bool:
         return syllable_count(g.word) <= 1
 
-    def _inner_merger_checks(self, ctx, f1p_da, r, f2p_da, g1p_da, g2p_da, events, tag):
+    def _inner_merger_checks(self, pair, f1p, r, f2p, g1p, g2p, events, tag):
         """Validate that (f1', Delta^r, f2') is a completed merger of (g1', g2')."""
-        h1p = f1p_da.inv() * g1p_da
-        h2p = g2p_da * f2p_da.inv()
+        i, j = pair
+        ctx = self.dihedral_ctx(i, j)
+        to_da = lambda x: ctx.element(self.to_dihedral(x.word, i, j))
+        f1p_da, f2p_da = to_da(f1p), to_da(f2p)
+        h1p = f1p_da.inv() * to_da(g1p)
+        h2p = to_da(g2p) * f2p_da.inv()
         if ctx.m is not INF:
             if (h1p * h2p) != ctx.delta_elem(r):
                 events.append(f"{tag}: h1' h2' is not Delta^r")
@@ -471,7 +495,7 @@ class ArtinGroup:
             events.append(f"{tag}: (f1', h1') not permissible")
         if not ctx.permissible(h2p, f2p_da)[0]:
             events.append(f"{tag}: (h2', f2') not permissible")
-        if ctx._find_merge_move(g1p_da, g2p_da, f1p_da, f2p_da, r) is not None:
+        if self._find_merge_move(g1p, g2p, f1p, f2p, r, pair if r else None) is not None:
             events.append(f"{tag}: inner triple admits a further move")
 
     def split_s(self, st: STResult, g: GroupElement, k: int, l: int) -> SDecomposition:
@@ -527,7 +551,6 @@ class ArtinGroup:
                 events.append(f"{tag}: no usable pair for the r = 0 case")
                 return SWitness(t, "S2")
             i, j = pair
-        ctx = self.dihedral_ctx(i, j)
         f1p = self.rd(t.f1, i, j)
         f2p = self.ld(t.f2, i, j)
         h1p = self.ld(t.h1, i, j)
@@ -544,11 +567,8 @@ class ArtinGroup:
         if f1pp * fhat * f2pp != g:
             events.append(f"{tag}: g != f1'' fhat f2''")
         # property (3): the inner dihedral merger
-        to_da = lambda x: ctx.element(self.to_dihedral(x.word, i, j))
-        g1p_da = to_da(f1p * h1p)
-        g2p_da = to_da(h2p * f2p)
         self._inner_merger_checks(
-            ctx, to_da(f1p), t.r, to_da(f2p), g1p_da, g2p_da, events, tag
+            (i, j), f1p, t.r, f2p, f1p * h1p, h2p * f2p, events, tag
         )
         if self._in_single_generator(fhat):
             events.append(f"{tag}: fhat lies in a cyclic subgroup")

@@ -130,11 +130,6 @@ class CoxeterPresentation:
         return alt_starting(i, j, int(m)), alt_starting(j, i, int(m))
 
 
-def validate_presentation(pres: CoxeterPresentation) -> dict[str, bool]:
-    """Classification report; construction already rejects malformed input."""
-    return pres.classification()
-
-
 # -- presentation files ------------------------------------------------
 #
 # Grammar (line oriented, '#' starts a comment):

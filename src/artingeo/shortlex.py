@@ -182,11 +182,8 @@ class ShortlexEngine:
     def length(self, g: GroupElement) -> int:
         return len(g.word)
 
-    def letters(self) -> list[int]:
-        return [a for g in range(1, self.pres.n + 1) for a in (g, -g)]
-
-    def gen(self, i: int, sign: int = 1) -> GroupElement:
-        return GroupElement(self, (i * sign,))
+    def letters(self) -> LetterOrder:
+        return default_order(self.pres.n)
 
     # -- geodesic representatives ------------------------------------------
 

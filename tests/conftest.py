@@ -54,6 +54,12 @@ def stash():
     return Stash()
 
 
+def merge_row(t, rename=lambda w: w):
+    """(f1, r, f2, h1, h2, trace) of a merger as words, each renamed."""
+    steps = tuple((s.kind, rename(s.h), rename(s.h_prime), s.r_after) for s in t.trace)
+    return (rename(t.f1.word), t.r, rename(t.f2.word), rename(t.h1.word), rename(t.h2.word), steps)
+
+
 def all_words(n_gens, max_len, start_len=0):
     letters = [a for g in range(1, n_gens + 1) for a in (g, -g)]
     for L in range(start_len, max_len + 1):

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from artingeo.critical import classify_critical, tau
-from artingeo.dihedral import MergerTripleD
 from artingeo.harmonic import (
     GroupFunction,
     permissible_fact_sup,
@@ -353,8 +352,7 @@ def test_criterion_08_compression(merger_sweeps, stash):
                 dctx = stash.dihedral(int(group.pres.label(*pair)))
                 f1 = dctx.element(group.to_dihedral(t.f1.word, *pair))
                 f2 = dctx.element(group.to_dihedral(t.f2.word, *pair))
-                triple = MergerTripleD(f1, t.r, f2, dctx.identity, dctx.identity, ())
-                c = dctx.compress(triple)
+                c = dctx.compress(f1, t.r, f2)
                 target = f1 * dctx.delta_elem(t.r) * f2 if t.r else f1 * f2
                 assert dctx.is_geodesic(c.word)
                 assert dctx.element(c.word) == target

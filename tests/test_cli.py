@@ -184,3 +184,19 @@ def test_ball_cache_corrupt_file(tmp_path, capsys, monkeypatch):
     code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
     assert code == 2 and payload["type"] == "ValueError"
     assert "order" in payload["error"]
+
+
+def test_ball_cache_swapped_cells(tmp_path, capsys, monkeypatch):
+    # a cache whose identity row swaps the a and A cells keeps every sphere
+    # size, so only the cell-by-cell comparison with the engine catches it
+    monkeypatch.setenv("ARTINGEO_CACHE", str(tmp_path))
+    code, _ = run_json(capsys, "--preset", "da3", "--json", "ball", "3")
+    assert code == 0
+    (path,) = tmp_path.glob("ball_*.json")
+    data = json.loads(path.read_text())
+    row = data["adj"][0]
+    row[0], row[1] = row[1], row[0]
+    path.write_text(json.dumps(data))
+    code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "3")
+    assert code == 2 and payload["type"] == "ValueError"
+    assert "disagrees" in payload["error"]

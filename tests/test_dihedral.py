@@ -1,5 +1,6 @@
 """DA(m): geodesics, tau orbits, Garside powers, permissibility, merging."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -15,7 +16,7 @@ from artingeo.words import (
     syllable_count,
 )
 
-from conftest import freely_reduced_words
+from conftest import freely_reduced_words, merge_row
 
 W = parse_word
 
@@ -164,77 +165,112 @@ def _sphere_words(ctx, k):
     return out
 
 
-def test_merge_examples(da3):
-    ab = da3.element("ab")
+# sha256 over the sorted reprs of merge_row for every pair (g1, g2) with
+# |g1| + |g2| <= max_kl, computed with the 2-generator merge that
+# DihedralContext carried before ArtinGroup.merge became the only merge
+MERGE_REFERENCE = {
+    "da3": (6, 6629, "fe72ec4b8dc2875a1a51267c1b55d0e7138639c75ef9174c0ea0fb9c2f3ef150"),
+    "da4": (6, 10305, "43a521211d70681164ce5844305ac5217f1bcadfdc9686d6ac0ee54e4c4cfbc4"),
+    "dainf": (5, 3241, "7ee778312a996b957de7339c17a72c0df577c40b480c4f3be87796c7d1c37901"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_REFERENCE))
+def test_merge_matches_reference_digest(stash, name):
+    max_kl, count, digest = MERGE_REFERENCE[name]
+    group = stash.group(name)
+    ball = group.ball(max_kl)
+    rows = []
+    for k in range(max_kl + 1):
+        for l in range(max_kl + 1 - k):
+            for ui in ball.sphere(k):
+                for vi in ball.sphere(l):
+                    rows.append(repr(merge_row(group.merge(ball.element(ui), ball.element(vi)))))
+    assert len(rows) == count
+    assert hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest() == digest
+
+
+def test_merge_examples(da3, stash):
+    G = stash.group("da3")
+    ab = G.element("ab")
     # full inverse: pure cancellation
-    t = da3.merge(ab, ab.inv())
+    t = G.merge(ab, ab.inv())
     assert (t.f1.word, t.r, t.f2.word) == ((), 0, ())
     assert all(s.kind == "cancel" for s in t.trace)
     # nothing to merge against the identity
-    t = da3.merge(ab, da3.identity)
-    assert (t.f1, t.r, t.f2) == (ab, 0, da3.identity)
+    t = G.merge(ab, G.identity)
+    assert (t.f1, t.r, t.f2) == (ab, 0, G.identity)
     # (ab, ab): a Delta is extracted; the triple satisfies every merger law
-    t = da3.merge(ab, ab)
+    t = G.merge(ab, ab)
     assert t.r == 1
-    assert t.h1 * t.h2 == da3.delta_elem(1)
-    assert t.f1 * da3.delta_elem(t.r) * t.f2 == ab * ab
-    assert da3.permissible(t.f1, t.h1)[0]
-    assert da3.permissible(t.h2, t.f2)[0]
+    assert t.h1 * t.h2 == G.delta_ij(1, 2, 1)
+    assert t.f1 * G.middle_of(t) * t.f2 == ab * ab
+    da = lambda g: da3.element(g.word)
+    assert da3.permissible(da(t.f1), da(t.h1))[0]
+    assert da3.permissible(da(t.h2), da(t.f2))[0]
 
 
 def test_merge_invariants_exhaustive(da3, stash):
     # every pair with |g1| + |g2| <= 5: bounds, permissibility, replay
+    G = stash.group("da3")
+    da = lambda g: da3.element(g.word)
     for k in range(0, 6):
         for l in range(0, 6 - k):
             for w1 in _sphere_words(da3, k):
-                g1 = da3.element(w1)
+                g1 = G.element(w1)
                 for w2 in _sphere_words(da3, l):
-                    g2 = da3.element(w2)
-                    t = da3.merge(g1, g2)
+                    g2 = G.element(w2)
+                    t = G.merge(g1, g2)
                     kk = min(k, l)
                     assert abs(t.r) <= kk
                     assert len(t.h1) <= 2 * kk and len(t.h2) <= 2 * kk
-                    assert t.h1 * t.h2 == (
-                        da3.delta_elem(t.r) if t.r else da3.identity
-                    )
+                    assert t.h1 * t.h2 == G.middle_of(t)
                     assert t.f1 * t.h1 == g1 and t.h2 * t.f2 == g2
-                    assert da3.permissible(t.f1, t.h1)[0]
-                    assert da3.permissible(t.h2, t.f2)[0]
-                    replay = da3.replay_trace(g1, g2, t.trace)
-                    assert (replay.f1, replay.r, replay.f2) == (t.f1, t.r, t.f2)
+                    assert da3.permissible(da(t.f1), da(t.h1))[0]
+                    assert da3.permissible(da(t.h2), da(t.f2))[0]
+                    # replaying the trace from (g1, 0, g2) lands on the merger
+                    f1, f2, r = g1, g2, 0
+                    for step in t.trace:
+                        f1 = f1 * G.element(step.h).inv()
+                        f2 = G.element(step.h_prime).inv() * f2
+                        r = step.r_after
+                    assert (f1, r, f2) == (t.f1, t.r, t.f2)
+
+
+def _compress(ctx, t):
+    return ctx.compress(ctx.element(t.f1.word), t.r, ctx.element(t.f2.word))
 
 
 def test_compress_trivial_and_derived(da3, stash):
     oracle = stash.oracle("da3")
+    G = stash.group("da3")
     # geodesic concatenation: nothing to compress
-    a, b = da3.element("a"), da3.element("b")
-    t = da3.merge(a, b)
-    c = da3.compress(t)
+    c = _compress(da3, G.merge(G.element("a"), G.element("b")))
     assert c.word == W("ab") and c.kappa == da3.element("ab")
     assert all(s["stage"] == "split" for s in c.stages)
     # the merger of (ab, ab) compresses to a geodesic spelling of abab
-    t = da3.merge(da3.element("ab"), da3.element("ab"))
-    c = da3.compress(t)
+    c = _compress(da3, G.merge(G.element("ab"), G.element("ab")))
     assert da3.is_geodesic(c.word)
     assert oracle.equal(c.word, W("abab"))
 
 
 def test_compress_exhaustive_small(da3, stash):
     oracle = stash.oracle("da3")
+    G = stash.group("da3")
     seen = set()
     for k in range(0, 6):
         for l in range(0, 6 - k):
             for w1 in _sphere_words(da3, k):
                 for w2 in _sphere_words(da3, l):
-                    t = da3.merge(da3.element(w1), da3.element(w2))
+                    t = G.merge(G.element(w1), G.element(w2))
                     key = (t.f1.word, t.r, t.f2.word)
                     if key in seen:
                         continue
                     seen.add(key)
-                    c = da3.compress(t)
+                    c = _compress(da3, t)
                     assert da3.is_geodesic(c.word)
-                    target = t.f1 * da3.delta_elem(t.r) * t.f2 if t.r else t.f1 * t.f2
-                    assert da3.element(c.word) == target
+                    target = t.f1 * G.middle_of(t) * t.f2
+                    assert G.element(c.word) == target
                     assert oracle.equal(c.word, target.word)
 
 

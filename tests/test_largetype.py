@@ -2,10 +2,16 @@
 
 import pytest
 
-from artingeo.largetype import ArtinGroup, HypothesisError, OnetailFailure
+from artingeo.largetype import (
+    ArtinGroup,
+    HypothesisError,
+    MergerTriple,
+    OnetailFailure,
+    STResult,
+)
 from artingeo.words import parse_word, syllable_count
 
-from conftest import freely_reduced_words
+from conftest import freely_reduced_words, merge_row
 
 W = parse_word
 
@@ -168,16 +174,26 @@ def stash_delta_decreasing_pair(group):
     return None
 
 
-def test_merge_agrees_with_dihedral_on_pairs(g345, stash):
-    # merging inside G(1,2) agrees with the standalone dihedral machinery
-    ctx = stash.dihedral(3)
-    pairs = [("ab", "ab"), ("ab", "BA"), ("aba", "ab"), ("ab", "ba"), ("abab", "A")]
-    for w1, w2 in pairs:
-        t_multi = g345.merge(g345.element(w1), g345.element(w2))
-        t_di = ctx.merge(ctx.element(w1), ctx.element(w2))
-        assert t_multi.r == t_di.r
-        assert t_multi.f1.word == t_di.f1.word
-        assert t_multi.f2.word == t_di.f2.word
+def test_merge_agrees_with_dihedral_on_pairs(stash):
+    # merging two elements of G(i,j) agrees with merging them in DA(m_ij)
+    # and renaming back, on every pair with k + l <= 4
+    for name in ("triangle345", "triangle444"):
+        G = stash.group(name)
+        for i, j in G.pres.pairs():
+            D = stash.group(f"da{G.pres.label(i, j)}")
+            up = lambda w: G.from_dihedral(w, i, j)
+            ball = D.ball(4)
+            for k in range(5):
+                for l in range(5 - k):
+                    for ui in ball.sphere(k):
+                        d1 = ball.element(ui)
+                        g1 = G.element(up(d1.word))
+                        for vi in ball.sphere(l):
+                            d2 = ball.element(vi)
+                            t = G.merge(g1, G.element(up(d2.word)))
+                            td = D.merge(d1, d2)
+                            assert merge_row(t) == merge_row(td, up), (name, d1, d2)
+                            assert t.pair == ((i, j) if td.pair else None)
 
 
 def test_merge_full_cancellation(g345):
@@ -239,6 +255,16 @@ def test_split_s_classification(g345):
     for w in dec.s2:
         assert w.s2_witness is not None
         assert w.s2_witness["q"] <= 2
+
+
+def test_split_s_flags_non_mergers(g345):
+    # triples that still admit a merge move trip the inner-merger check
+    for w1, w2 in (("ab", "BA"), ("ab", "ab")):
+        g1, g2 = g345.element(w1), g345.element(w2)
+        t = MergerTriple(g1, None, 0, g2, g345.identity, g345.identity, ())
+        st = STResult({t.key(): (t, 1)}, set(), 0, 0)
+        dec = g345.split_s(st, g1 * g2, len(g1), len(g2))
+        assert any(e.endswith("inner triple admits a further move") for e in dec.events)
 
 
 def test_split_s_sweep_small(g444):

@@ -6,7 +6,6 @@ from artingeo.presentation import (
     PresentationError,
     format_presentation,
     parse_presentation,
-    validate_presentation,
 )
 from artingeo.presets import PRESET_NAMES, load_preset
 from artingeo.words import format_word
@@ -14,15 +13,15 @@ from artingeo.words import format_word
 
 def test_classification_examples():
     p345 = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
-    r = validate_presentation(p345)
+    r = p345.classification()
     assert r["large"] and r["satisfies_33m"] and not r["extra_large"]
 
     p433 = CoxeterPresentation.from_labels(3, {(1, 2): 4, (1, 3): 3, (2, 3): 3})
-    r = validate_presentation(p433)
+    r = p433.classification()
     assert r["large"] and not r["satisfies_33m"]
 
     da4 = CoxeterPresentation.dihedral(4)
-    r = validate_presentation(da4)
+    r = da4.classification()
     assert r["dihedral"] and r["extra_large"] and r["satisfies_33m"]
 
 
