@@ -194,7 +194,7 @@ def cmd_compress(group, args):
         raise ValueError("compress works in dihedral presentations")
     ctx = group.dihedral_ctx(1, 2)
     t = group.merge(group.element(parse_word(args.w1)), group.element(parse_word(args.w2)))
-    c = ctx.compress(ctx.element(t.f1.word), t.r, ctx.element(t.f2.word))
+    c = ctx.compress(t.f1, t.r, t.f2)
     payload = {
         "merger": {"f1": format_word(t.f1.word), "r": t.r, "f2": format_word(t.f2.word)},
         "word": format_word(c.word),

@@ -1,5 +1,11 @@
 """
-The dihedral Artin group DA(m) = <x1, x2 | alt_m(x1,x2) = alt_m(x2,x1)>.
+The calculus of one dihedral parabolic subgroup G(i,j) = <x_i, x_j>, a
+dihedral Artin group on the label m = m_ij, run on the parent group's own
+shortlex engine and letters.  Standard parabolic subgroups of Artin groups
+are convex, so the parent engine's normal forms and geodesic spellings of
+{i,j}-words are those of DA(m); no second engine and no renaming of letters
+is needed.  DA(m) itself is dihedral_ctx(1, 2) of
+ArtinGroup(CoxeterPresentation.dihedral(m)).
 
 The 2-generator calculus lives here: the geodesic criterion p + n <= m,
 the Garside element Delta and its letter permutation delta, critical words
@@ -13,9 +19,8 @@ at most two syllables (P1), or d(g1) + d(g2) = d(g) (P2, the factorisation
 does not lose Garside power).  For unsigned g, and in the free case m = inf,
 every geodesic factorisation is permissible.
 
-Merging is not done here: DA(m) is the n = 2 case of ArtinGroup.merge in
-artingeo.largetype.  Merge a pair in ArtinGroup(CoxeterPresentation.dihedral(m))
-and pass the resulting (f1, r, f2), as elements of this context, to compress.
+Merging is not done here: it is ArtinGroup.merge in artingeo.largetype.
+Pass the resulting (f1, r, f2) of a merger inside G(i,j) to compress.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .critical import (
     reduce_2gen,
     tau,
 )
-from .presentation import CoxeterPresentation, INF
-from .shortlex import GroupElement, LetterOrder, ShortlexEngine
+from .presentation import INF
+from .shortlex import GroupElement, ShortlexEngine
 from .words import (
     Word,
     alt_starting,
@@ -66,21 +71,16 @@ class CompressionResult:
 
 
 class DihedralContext:
-    """DA(m) with a fixed shortlex letter order; m = inf gives the free group."""
+    """G(i,j) on the engine of its parent group; m = inf gives a free pair."""
 
-    def __init__(self, m, order: LetterOrder | None = None):
-        if m is not INF:
-            m = int(m)
-            if m < 3:
-                raise ValueError("the dihedral calculus needs a label >= 3")
-        self.m = m
-        self.pres = CoxeterPresentation.dihedral(m)
-        self.engine = ShortlexEngine(self.pres, order)
-        self.pair = (1, 2)
+    def __init__(self, engine: ShortlexEngine, i: int, j: int):
+        m = engine.pres.label(i, j)
+        self.m = m if m is INF else int(m)
+        self.engine = engine
+        self.pair = (i, j)
         self._d: dict[Word, int] = {}
         self._two_syll: dict[Word, bool] = {}
         self._perm: dict[tuple[Word, Word], tuple[bool, str]] = {}
-        self._rdiv: dict[tuple[Word, int], tuple[Word, ...]] = {}
 
     # -- words and elements -------------------------------------------------
 
@@ -100,7 +100,7 @@ class DihedralContext:
 
     def delta_power_word(self, r: int) -> Word:
         self._require_finite()
-        base = alt_starting(1, 2, self.m)
+        base = alt_starting(*self.pair, self.m)
         if r >= 0:
             return base * r
         return inverse_word(base) * (-r)
@@ -108,11 +108,12 @@ class DihedralContext:
     def _delta_tail(self, r: int, prev: int | None) -> Word:
         """
         Delta^r as a word that does not cancel against a preceding letter:
-        of the two spellings alt_m(x1,x2) and alt_m(x2,x1), pick one whose
+        of the two spellings alt_m(x_i,x_j) and alt_m(x_j,x_i), pick one whose
         first letter is not the inverse of `prev`.
         """
         self._require_finite()
-        for first, second in ((1, 2), (2, 1)):
+        i, j = self.pair
+        for first, second in ((i, j), (j, i)):
             base = alt_starting(first, second, self.m)
             word = base * r if r >= 0 else inverse_word(base) * (-r)
             if not word or prev is None or word[0] != -prev:
@@ -238,13 +239,7 @@ class DihedralContext:
 
     def right_divisor_words(self, g: GroupElement, j: int) -> tuple[Word, ...]:
         """Normal forms of the length-j right divisors of g, shortlex sorted."""
-        key = (g.word, j)
-        hit = self._rdiv.get(key)
-        if hit is None:
-            seen = {self.nf(w[len(w) - j :]) for w in self.geodesic_words(g)}
-            hit = tuple(sorted(seen, key=self.engine.lex_key))
-            self._rdiv[key] = hit
-        return hit
+        return self.engine.right_divisor_words(g, j)
 
     # -- compression ---------------------------------------------------------------
 

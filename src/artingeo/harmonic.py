@@ -155,9 +155,11 @@ def projection(
     ball: ElementBall,
     p: int,
     side: str = "right",
-    validate: bool = False,
 ) -> GroupFunction:
-    """The square-summed permissible projection of phi_k onto C_{k-p}."""
+    """
+    The square-summed permissible projection of phi_k onto C_{k-p}; raises
+    AssertionError if its squared norm exceeds F_P times that of phi_k.
+    """
     group = phi_k.group
     supp = phi_k.support()
     if not supp:
@@ -184,15 +186,14 @@ def projection(
             if ok:
                 acc[g.word] = acc.get(g.word, 0.0) + abs(cu) ** 2
     proj = GroupFunction(group, {w: np.sqrt(v) for w, v in acc.items()})
-    if validate:
-        a, b = (k - p, p) if side == "right" else (p, k - p)
-        bound, _ = permissible_fact_sup(group, ball, a, b)
-        lhs = proj.l2_norm() ** 2
-        rhs = bound * phi_k.l2_norm() ** 2
-        if lhs > rhs + 1e-9:
-            raise AssertionError(
-                f"projection norm bound violated: {lhs} > F={bound} * {phi_k.l2_norm()**2}"
-            )
+    a, b = (k - p, p) if side == "right" else (p, k - p)
+    bound, _ = permissible_fact_sup(group, ball, a, b)
+    lhs = proj.l2_norm() ** 2
+    rhs = bound * phi_k.l2_norm() ** 2
+    if lhs > rhs + 1e-9:
+        raise AssertionError(
+            f"projection norm bound violated: {lhs} > F={bound} * {phi_k.l2_norm()**2}"
+        )
     return proj
 
 
@@ -214,6 +215,8 @@ def star_star_trials(
     """
     if not 0 <= m <= ball.radius or k + l > ball.radius:
         raise ValueError("ball too small for the requested triple (k, l, m)")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     ck = ball.sphere(k)
     cl = ball.sphere(l)
     if not ck or not cl:
@@ -267,89 +270,54 @@ def star_star_trials(
 # -- operator norm lower bound --------------------------------------------------------
 
 
-def operator_norm_estimate(
-    phi: GroupFunction,
-    radius: int,
-    iterations: int = 80,
-    _ball: ElementBall | None = None,
-    _start: np.ndarray | None = None,
-    _return_vector: bool = False,
-):
+def operator_norm_estimate(phi: GroupFunction, radius: int, iterations: int = 80) -> float:
     """
     Certified lower bound for ||phi||_* obtained by restricting psi to the
     radius-R ball: the best Rayleigh quotient ||phi * psi||_2 / ||psi||_2
     seen during power iteration on the restricted operator.
     """
-    group = phi.group
-    supp = phi.support()
-    if not supp:
-        return (0.0, np.zeros(0, dtype=complex), []) if _return_vector else 0.0
-    ell = max(len(w) for w in supp)
-    big = _ball if _ball is not None else group.ball(radius + ell)
-    inner = [i for i in range(len(big)) if big.length[i] <= radius]
-    coeff = np.array([phi.coeffs[w] for w in supp])
-    # scatter maps: position of h * v in the big ball for each inner v, one row per h
-    prods = np.array(big.products([big.index[w] for w in supp], inner), dtype=np.int64)
-    scatter = list(prods.reshape(len(supp), len(inner)))
-    dim_big = len(big)
-
-    def apply_T(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(dim_big, dtype=complex)
-        for c, sc in zip(coeff, scatter):
-            np.add.at(y, sc, c * x)
-        return y
-
-    def apply_Tstar(y: np.ndarray) -> np.ndarray:
-        x = np.zeros(len(inner), dtype=complex)
-        for c, sc in zip(coeff, scatter):
-            x += np.conj(c) * y[sc]
-        return x
-
-    if _start is not None and len(_start) == len(inner):
-        x = _start.astype(complex)
-    else:
-        x = np.ones(len(inner), dtype=complex)
-    best = 0.0
-    for _ in range(iterations):
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            break
-        x = x / nx
-        y = apply_T(x)
-        best = max(best, float(np.linalg.norm(y)))
-        x = apply_Tstar(y)
-    if _return_vector:
-        return best, x, inner
-    return best
+    return operator_norm_profile(phi, [radius], iterations)[0][1]
 
 
 def operator_norm_profile(phi: GroupFunction, radii: Iterable[int], iterations: int = 80):
     """
-    Estimates over increasing radii.  Each radius is warm-started with the
-    previous maximising vector (zero-padded), so the reported lower bounds
-    are nondecreasing in R.
+    operator_norm_estimate over increasing radii.  Each radius is
+    warm-started with the previous maximising vector (zero-padded), so the
+    reported lower bounds are nondecreasing in R.
     """
     radii = sorted(radii)
-    group = phi.group
-    ell = max((len(w) for w in phi.support()), default=0)
-    big = group.ball(max(radii) + ell)
+    supp = phi.support()
+    if not supp:
+        return [(R, 0.0) for R in radii]
+    ell = max(len(w) for w in supp)
+    big = phi.group.ball(max(radii) + ell)
+    coeff = np.array([phi.coeffs[w] for w in supp])
+    rows = [big.index[w] for w in supp]
     out = []
-    prev_vec: np.ndarray | None = None
-    prev_pos: dict[int, int] = {}
+    prev: dict[int, complex] | None = None  # last vector, by ball id
     best = 0.0
     for R in radii:
         inner = [i for i in range(len(big)) if big.length[i] <= R]
-        start = None
-        if prev_vec is not None:
-            start = np.array(
-                [prev_vec[prev_pos[i]] if i in prev_pos else 0.0 for i in inner],
-                dtype=complex,
-            )
-        est, vec, inner = operator_norm_estimate(
-            phi, R, iterations, _ball=big, _start=start, _return_vector=True
-        )
-        best = max(best, est)
+        # scatter maps: position of h * v in the big ball for each inner v, one row per h
+        prods = np.array(big.products(rows, inner), dtype=np.int64)
+        scatter = list(prods.reshape(len(supp), len(inner)))
+        if prev is None:
+            x = np.ones(len(inner), dtype=complex)
+        else:
+            x = np.array([prev.get(i, 0.0) for i in inner], dtype=complex)
+        for _ in range(iterations):
+            nx = np.linalg.norm(x)
+            if nx == 0:
+                break
+            x = x / nx
+            # y = T x, then x = T* y
+            y = np.zeros(len(big), dtype=complex)
+            for c, sc in zip(coeff, scatter):
+                np.add.at(y, sc, c * x)
+            best = max(best, float(np.linalg.norm(y)))
+            x = np.zeros(len(inner), dtype=complex)
+            for c, sc in zip(coeff, scatter):
+                x += np.conj(c) * y[sc]
         out.append((R, best))
-        prev_vec = vec
-        prev_pos = {idx: p for p, idx in enumerate(inner)}
+        prev = dict(zip(inner, x))
     return out

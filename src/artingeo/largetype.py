@@ -6,7 +6,9 @@ a dihedral Artin group on the label m_ij.  Every element g has a unique
 longest left divisor LD_ij(g) in G(i,j) and a unique longest right divisor
 RD_ij(g); LD is computed by re-reducing under a letter order that lists the
 letters of names i and j first and taking the maximal {i,j}-prefix of the
-resulting normal form, RD by inverting.
+resulting normal form, RD by inverting.  G(i,j) is reached through
+dihedral_ctx(i, j): parabolic subgroups are convex, so the dihedral calculus
+runs on this group's own engine and letters, with no renaming.
 
 A geodesic factorisation (g1, g2) is *permissible* when the dihedral pair
 (RD_ij(g1), LD_ij(g2)) is permissible in G(i,j) for every pair i < j.
@@ -29,7 +31,7 @@ h2 = g2 f2^-1 one has h1 h2 = Delta_ij^r and both side factorisations
 permissible.  The dihedral group DA(m) is the n = 2 case,
 ArtinGroup(CoxeterPresentation.dihedral(m)), with the one pair (1, 2) and the
 bounds |r| <= min(k, l) and |h1|, |h2| <= (m-1) min(k, l);
-DihedralContext.compress turns its mergers back into geodesic words.
+dihedral_ctx(1, 2).compress turns its mergers back into geodesic words.
 
 Mergers of all length-(k,l) decompositions of g form the set S(g,k,l); T(k,l)
 collects the middle powers.  S splits into S0 (r = 0 with both sides powers
@@ -53,7 +55,7 @@ from typing import Optional
 from .dihedral import DihedralContext
 from .presentation import CoxeterPresentation, INF
 from .shortlex import ElementBall, GroupElement, LetterOrder, ShortlexEngine
-from .words import Word, names, syllable_count
+from .words import Word, syllable_count
 
 
 class HypothesisError(ValueError):
@@ -195,37 +197,15 @@ class ArtinGroup:
     # -- dihedral subgroup plumbing -------------------------------------------
 
     def dihedral_ctx(self, i: int, j: int) -> DihedralContext:
-        """Shared DA(m_ij) context (one per distinct label)."""
-        m = self.pres.label(i, j)
-        ctx = self._dihedral.get(m)
+        """The calculus of G(i,j) on this group's engine (one context per pair)."""
+        pair = (min(i, j), max(i, j))
+        ctx = self._dihedral.get(pair)
         if ctx is None:
-            ctx = DihedralContext(m)
-            self._dihedral[m] = ctx
+            ctx = self._dihedral[pair] = DihedralContext(self.engine, *pair)
         return ctx
 
-    def to_dihedral(self, w: Word, i: int, j: int) -> Word:
-        """Rename an {i,j}-word into DA coordinates (i -> 1, j -> 2)."""
-        out = []
-        for a in w:
-            g = abs(a)
-            if g == i:
-                out.append(1 if a > 0 else -1)
-            elif g == j:
-                out.append(2 if a > 0 else -2)
-            else:
-                raise ValueError(f"letter {a} is not an {{{i},{j}}}-letter")
-        return tuple(out)
-
-    def from_dihedral(self, w: Word, i: int, j: int) -> Word:
-        out = []
-        for a in w:
-            g = i if abs(a) == 1 else j
-            out.append(g if a > 0 else -g)
-        return tuple(out)
-
     def delta_ij(self, i: int, j: int, r: int = 1) -> GroupElement:
-        ctx = self.dihedral_ctx(i, j)
-        return self.element(self.from_dihedral(ctx.delta_power_word(r), i, j))
+        return self.dihedral_ctx(i, j).delta_elem(r)
 
     # -- divisors ----------------------------------------------------------------
 
@@ -235,6 +215,8 @@ class ArtinGroup:
             raise ValueError("ld needs two distinct generators")
         if i > j:
             i, j = j, i
+        if i < 1 or j > self.pres.n:
+            raise ValueError(f"generator {i if i < 1 else j} is not one of 1..{self.pres.n}")
         reord = self.engine.reordered(i, j)
         w = reord.nf(g.word)
         cut = 0
@@ -315,12 +297,8 @@ class ArtinGroup:
         for i, j in self.pres.pairs():
             if self.pres.label(i, j) is INF:
                 continue  # free pair: geodesic factorisations are all allowed
-            s = self.rd(g1, i, j)
-            t = self.ld(g2, i, j)
             ctx = self.dihedral_ctx(i, j)
-            sd = ctx.element(self.to_dihedral(s.word, i, j))
-            td = ctx.element(self.to_dihedral(t.word, i, j))
-            if not ctx.permissible(sd, td)[0]:
+            if not ctx.permissible(self.rd(g1, i, j), self.ld(g2, i, j))[0]:
                 return False
         return True
 
@@ -335,24 +313,15 @@ class ArtinGroup:
     def _pair_preference(self) -> list[tuple[int, int]]:
         return list(self.pres.finite_pairs())
 
-    def _right_divisors_in_pair(self, f: GroupElement, i: int, j: int, length: int):
-        """Length-`length` right divisors of f lying in G(i,j), shortlex order."""
-        rdmax = self.rd(f, i, j)
-        if len(rdmax) < length:
-            return []
-        ctx = self.dihedral_ctx(i, j)
-        rd_da = ctx.element(self.to_dihedral(rdmax.word, i, j))
-        return [
-            self.element(self.from_dihedral(w, i, j))
-            for w in ctx.right_divisor_words(rd_da, length)
-        ]
-
-    def _right_divisors(self, f: GroupElement, length: int):
-        seen = {self.nf(w[len(w) - length :]) for w in self.geodesic_words(f)}
-        return [
-            GroupElement(self.engine, w)
-            for w in sorted(seen, key=self.engine.lex_key)
-        ]
+    def _right_divisors(self, f: GroupElement, length: int, pair):
+        """Length-`length` right divisors of f, inside G(pair) unless pair is None."""
+        if pair is None:
+            words = self.engine.right_divisor_words(f, length)
+        else:
+            rdmax = self.rd(f, *pair)
+            ctx = self.dihedral_ctx(*pair)
+            words = ctx.right_divisor_words(rdmax, length) if len(rdmax) >= length else ()
+        return [GroupElement(self.engine, w) for w in words]
 
     def _strip_ok(self, g1, g2, f1, f2, h, hp):
         fn = f1 * h.inv()
@@ -367,44 +336,38 @@ class ArtinGroup:
             return False
         return True
 
-    def _delta_conj_in_pair(self, x: GroupElement, i: int, j: int, power: int):
+    def _delta_conj_in_pair(self, x: GroupElement, pair, power: int):
         if power % 2 == 0:
             return x
-        ctx = self.dihedral_ctx(i, j)
-        wd = ctx.delta_word(self.to_dihedral(x.word, i, j), power)
-        return self.element(self.from_dihedral(wd, i, j))
+        return self.element(self.dihedral_ctx(*pair).delta_word(x.word, power))
 
     def _find_merge_move(self, g1, g2, f1, f2, r, pair):
+        """
+        The preferred move on (f1, Delta^r, f2); with pair None (only when
+        r = 0) cancellation is unrestricted and Delta moves try every finite
+        pair, otherwise every move stays inside G(pair).
+        """
         # (i) cancellation
         for j_len in range(min(len(f1), len(f2)), 0, -1):
-            if r != 0:
-                cands = self._right_divisors_in_pair(f1, pair[0], pair[1], j_len)
-            else:
-                cands = self._right_divisors(f1, j_len)
-            for h in cands:
-                if r != 0:
-                    hp = self._delta_conj_in_pair(h.inv(), pair[0], pair[1], r)
-                else:
-                    hp = h.inv()
+            for h in self._right_divisors(f1, j_len, pair):
+                hp = self._delta_conj_in_pair(h.inv(), pair, r)
                 if self._strip_ok(g1, g2, f1, f2, h, hp):
                     return ("cancel", h, hp, r, pair)
+        pairs = [p for p in self._pair_preference() if pair is None or p == pair]
         # (ii) double Delta, both sides signed
         if f1.sign != "unsigned" and f2.sign != "unsigned":
-            pairs = [pair] if r != 0 else self._pair_preference()
             for i, j in pairs:
                 for eps in (1, -1):
                     h = self.delta_ij(i, j, eps)
                     if self._strip_ok(g1, g2, f1, f2, h, h):
                         return ("double-delta", h, h, r + 2 * eps, (i, j))
         # (iii) Delta extraction
-        pairs = [pair] if r != 0 else self._pair_preference()
         for i, j in pairs:
             for j_len in range(len(f1), 0, -1):
-                cands = self._right_divisors_in_pair(f1, i, j, j_len)
-                for h in cands:
+                for h in self._right_divisors(f1, j_len, (i, j)):
                     for eps in (1, -1):
                         hp = h.inv() * self.delta_ij(i, j, eps)
-                        hp = self._delta_conj_in_pair(hp, i, j, r)
+                        hp = self._delta_conj_in_pair(hp, (i, j), r)
                         if len(hp) == 0:
                             continue
                         if self._strip_ok(g1, g2, f1, f2, h, hp):
@@ -479,23 +442,20 @@ class ArtinGroup:
         return syllable_count(g.word) <= 1
 
     def _inner_merger_checks(self, pair, f1p, r, f2p, g1p, g2p, events, tag):
-        """Validate that (f1', Delta^r, f2') is a completed merger of (g1', g2')."""
-        i, j = pair
-        ctx = self.dihedral_ctx(i, j)
-        to_da = lambda x: ctx.element(self.to_dihedral(x.word, i, j))
-        f1p_da, f2p_da = to_da(f1p), to_da(f2p)
-        h1p = f1p_da.inv() * to_da(g1p)
-        h2p = to_da(g2p) * f2p_da.inv()
+        """Validate that (f1', Delta^r, f2') is a completed merger of (g1', g2') in G(pair)."""
+        ctx = self.dihedral_ctx(*pair)
+        h1p = f1p.inv() * g1p
+        h2p = g2p * f2p.inv()
         if ctx.m is not INF:
             if (h1p * h2p) != ctx.delta_elem(r):
                 events.append(f"{tag}: h1' h2' is not Delta^r")
         elif len(h1p * h2p) != 0:
             events.append(f"{tag}: h1' h2' nontrivial on a free pair")
-        if not ctx.permissible(f1p_da, h1p)[0]:
+        if not ctx.permissible(f1p, h1p)[0]:
             events.append(f"{tag}: (f1', h1') not permissible")
-        if not ctx.permissible(h2p, f2p_da)[0]:
+        if not ctx.permissible(h2p, f2p)[0]:
             events.append(f"{tag}: (h2', f2') not permissible")
-        if self._find_merge_move(g1p, g2p, f1p, f2p, r, pair if r else None) is not None:
+        if self._find_merge_move(g1p, g2p, f1p, f2p, r, pair) is not None:
             events.append(f"{tag}: inner triple admits a further move")
 
     def split_s(self, st: STResult, g: GroupElement, k: int, l: int) -> SDecomposition:

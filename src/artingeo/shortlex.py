@@ -108,6 +108,7 @@ class ShortlexEngine:
         self._append: dict[tuple[Word, int], Word] = {}
         self._inv: dict[Word, Word] = {}
         self._geo: dict[Word, frozenset[Word]] = {}
+        self._rdiv: dict[tuple[Word, int], tuple[Word, ...]] = {}
         self._reordered: dict[tuple[int, int], "ShortlexEngine"] = {}
         self.identity = GroupElement(self, ())
 
@@ -195,6 +196,16 @@ class ShortlexEngine:
             self._geo[g.word] = hit
         return hit
 
+    def right_divisor_words(self, g: GroupElement, j: int) -> tuple[Word, ...]:
+        """Normal forms of the length-j right divisors of g, shortlex sorted."""
+        key = (g.word, j)
+        hit = self._rdiv.get(key)
+        if hit is None:
+            seen = {self.nf(w[len(w) - j :]) for w in self.geodesic_words(g)}
+            hit = tuple(sorted(seen, key=self.lex_key))
+            self._rdiv[key] = hit
+        return hit
+
     def final_letters(self, g: GroupElement) -> set[int]:
         """Last letters over all geodesic spellings, via length queries."""
         if not g.word:
@@ -208,11 +219,12 @@ class ShortlexEngine:
     # -- reordered engines ---------------------------------------------------
 
     def reordered(self, i: int, j: int) -> "ShortlexEngine":
-        """Sibling engine whose shortlex order lists names i, j first."""
+        """Engine whose shortlex order lists names i, j first (self if this one does)."""
         key = (i, j)
         eng = self._reordered.get(key)
         if eng is None:
-            eng = ShortlexEngine(self.pres, pair_first_order(self.pres.n, i, j))
+            order = pair_first_order(self.pres.n, i, j)
+            eng = self if order == self.order else ShortlexEngine(self.pres, order)
             self._reordered[key] = eng
         return eng
 
@@ -248,6 +260,8 @@ class CayleyBall:
         radius: int,
         max_elements: int | None = None,
     ):
+        if radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
         letters = default_order(n)
         words: list[Word] = [()]
         index: dict[Word, int] = {(): 0}

@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import time
 
-from .dihedral import DihedralContext
 from .harmonic import permissible_fact_sup, star_star_trials
 from .largetype import ArtinGroup, OnetailFailure
 from .oracle import Oracle
+from .presentation import INF, CoxeterPresentation
 from .words import format_word, parse_word
 
 
@@ -59,8 +59,6 @@ def d2_scan(group: ArtinGroup, radius: int, pres_id="pres"):
     g2 in C_l, build S(g,k,l), decompose it and collect the statistics and
     any falsified-property events.
     """
-    from .presentation import INF
-
     ball = group.ball(radius)
     m = group.pres.max_finite_label()
     kfac = 1 if m is INF else int(m) - 1  # the merger constant K
@@ -201,7 +199,7 @@ def repro_paper(allow_counterexample: bool = True) -> list[dict]:
 
     check("presentation-classification", classifications)
 
-    ctx3 = DihedralContext(3)
+    ctx3 = ArtinGroup(CoxeterPresentation.dihedral(3)).dihedral_ctx(1, 2)
 
     def pn_examples():
         p1 = ctx3.pn(parse_word("aba"))
@@ -213,7 +211,7 @@ def repro_paper(allow_counterexample: bool = True) -> list[dict]:
     def tau_examples():
         t1 = format_word(ctx3.tau(parse_word("aba")))
         t2 = format_word(ctx3.tau(parse_word("abbA")))
-        ctx4 = DihedralContext(4)
+        ctx4 = ArtinGroup(CoxeterPresentation.dihedral(4)).dihedral_ctx(1, 2)
         t3 = format_word(ctx4.tau(parse_word("abab")))
         return (t1 == "bab" and t2 == "Baab" and t3 == "baba", f"{t1} {t2} {t3}")
 

@@ -6,6 +6,7 @@ from hypothesis import settings
 from artingeo.dihedral import DihedralContext
 from artingeo.largetype import ArtinGroup
 from artingeo.oracle import Ball, Oracle
+from artingeo.presentation import CoxeterPresentation
 from artingeo.presets import load_preset
 
 settings.register_profile("suite", deadline=None, max_examples=60, derandomize=True)
@@ -45,13 +46,19 @@ class Stash:
 
     def dihedral(self, m) -> DihedralContext:
         if m not in self._dihedral:
-            self._dihedral[m] = DihedralContext(m)
+            group = ArtinGroup(CoxeterPresentation.dihedral(m))
+            self._dihedral[m] = group.dihedral_ctx(1, 2)
         return self._dihedral[m]
 
 
 @pytest.fixture(scope="session")
 def stash():
     return Stash()
+
+
+def rename(w, pair, onto):
+    """w with the names pair[0], pair[1] replaced by onto[0], onto[1]."""
+    return tuple(onto[pair.index(abs(a))] * (1 if a > 0 else -1) for a in w)
 
 
 def merge_row(t, rename=lambda w: w):

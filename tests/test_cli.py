@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from artingeo.cli import main
 
 
@@ -90,6 +92,25 @@ def test_error_json(capsys):
         capsys, "--preset", "counterexample433", "--json", "merge", "ab", "ba"
     )
     assert code == 2 and payload["type"] == "HypothesisError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "-1"],
+        ["d1-scan", "--radius", "-1"],
+        ["d2-scan", "--radius", "-1"],
+        ["rd-check", "--radius", "-1"],
+        ["rd-check", "--radius", "2", "--trials", "-2"],
+        ["divisors", "ab", "1", "5"],
+    ],
+    ids=["ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors"],
+)
+def test_out_of_range_input(capsys, argv):
+    code, payload = run_json(capsys, "--preset", "da3", "--json", *argv)
+    assert code == 2 and "error" in payload
+    if argv[0] == "divisors":
+        assert "generator 5" in payload["error"]
 
 
 def test_repro_command(capsys):

@@ -5,7 +5,6 @@ import itertools
 
 import pytest
 
-from artingeo.dihedral import DihedralContext
 from artingeo.presentation import INF
 from artingeo.words import (
     format_word,
@@ -16,7 +15,7 @@ from artingeo.words import (
     syllable_count,
 )
 
-from conftest import freely_reduced_words, merge_row
+from conftest import freely_reduced_words, merge_row, rename
 
 W = parse_word
 
@@ -31,13 +30,17 @@ def da4(stash):
     return stash.dihedral(4)
 
 
-def test_pn_and_geodesic_status(da3):
+@pytest.fixture(scope="module")
+def free(stash):
+    return stash.dihedral(INF)
+
+
+def test_pn_and_geodesic_status(da3, free):
     assert da3.pn(W("aba")) == (3, 0)
     assert da3.pn(W("abbA")) == (2, 1)
     assert da3.geodesic_status(W("aba")) == (True, False)
     assert da3.geodesic_status(W("ab")) == (True, True)
     assert da3.geodesic_status(W("abaB")) == (False, False)
-    free = DihedralContext(INF)
     assert free.geodesic_status(W("aBab"))[0]
 
 
@@ -64,13 +67,11 @@ def test_delta_conjugation_against_oracle(da3, da4, stash):
     assert da4.delta_letter(1) == 1
 
 
-def test_delta_errors():
-    free = DihedralContext(INF)
+def test_delta_errors(da3, free):
     with pytest.raises(ValueError):
         free.delta_letter(1)
-    ctx = DihedralContext(3)
     with pytest.raises(ValueError):
-        ctx.delta_word(W("ac"))
+        da3.delta_word(W("ac"))
 
 
 def test_tau_examples_and_errors(da3, da4):
@@ -107,7 +108,7 @@ def test_nf_respects_tau_orbits(da3):
             assert da3.nf(w) == da3.nf(da3.tau(w))
 
 
-def test_garside_power(da3):
+def test_garside_power(da3, free):
     assert da3.garside_power(da3.element("aba")) == 1
     assert da3.garside_power(da3.element("ab")) == 0
     assert da3.garside_power(da3.delta_elem(2)) == 2
@@ -116,10 +117,10 @@ def test_garside_power(da3):
     with pytest.raises(ValueError):
         da3.garside_power(da3.element("aB"))
     with pytest.raises(ValueError):
-        DihedralContext(INF).garside_power(DihedralContext(INF).element("a"))
+        free.garside_power(free.element("a"))
 
 
-def test_permissible_examples(da3):
+def test_permissible_examples(da3, free):
     D = da3.delta_elem(1)
     assert da3.permissible(D, D) == (True, "P2")
     assert da3.permissible(da3.element("ab"), da3.element("a")) == (True, "P1")
@@ -127,7 +128,6 @@ def test_permissible_examples(da3):
     assert da3.permissible(da3.element("a"), da3.element("A"))[0] is False
     # unsigned products always pass
     assert da3.permissible(da3.element("a"), da3.element("B"))[1] == "unsigned"
-    free = DihedralContext(INF)
     assert free.permissible(free.element("ab"), free.element("ba"))[1] == "infinite-label"
 
 
@@ -163,6 +163,30 @@ def _sphere_words(ctx, k):
         if is_freely_reduced(w) and ctx.is_geodesic(w) and ctx.nf(w) == w:
             out.append(w)
     return out
+
+
+@pytest.mark.parametrize("name", ["triangle345", "triangle444", "counterexample433"])
+def test_pair_context_matches_dihedral_group(stash, name):
+    # G(i,j) run on the parent group's engine agrees with DA(m_ij) after
+    # renaming i, j to 1, 2, on every freely reduced {i,j}-word of length <= 6
+    G = stash.group(name, allow_counterexample=name == "counterexample433")
+    for i, j in G.pres.pairs():
+        ctx = G.dihedral_ctx(i, j)
+        da = stash.dihedral(G.pres.label(i, j))
+        down = lambda w: rename(w, (i, j), (1, 2))
+        for w in freely_reduced_words(2, 6):
+            up = rename(w, (1, 2), (i, j))
+            g, d = ctx.element(up), da.element(w)
+            assert down(g.word) == d.word, (name, up)
+            assert {down(v) for v in ctx.geodesic_words(g)} == da.geodesic_words(d)
+            if da.m is not INF and d.sign != "unsigned":
+                assert ctx.garside_power(g) == da.garside_power(d), (name, up)
+            for k in range(len(w) + 1):
+                assert ctx.permissible(ctx.element(up[:k]), ctx.element(up[k:])) == (
+                    da.permissible(da.element(w[:k]), da.element(w[k:]))
+                ), (name, up, k)
+                rdw = ctx.right_divisor_words(g, min(k, len(g)))
+                assert tuple(map(down, rdw)) == da.right_divisor_words(d, min(k, len(d)))
 
 
 # sha256 over the sorted reprs of merge_row for every pair (g1, g2) with

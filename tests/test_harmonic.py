@@ -102,12 +102,12 @@ def test_length_function_axioms(da3):
 def test_projection_edges(da3, ball6):
     chi2 = GroupFunction.sphere_indicator(da3, ball6, 2)
     # p = 0 is the pointwise absolute value
-    pr0 = projection(chi2, ball6, 0, "right", validate=True)
+    pr0 = projection(chi2, ball6, 0, "right")
     assert pr0.coeffs == chi2.coeffs
     # p = k concentrates at the identity
     g = da3.element("ab")
     atom = GroupFunction.atom(da3, g, 2.0)
-    prk = projection(atom, ball6, 2, "right", validate=True)
+    prk = projection(atom, ball6, 2, "right")
     assert set(prk.support()) <= {()}
     if prk.support():
         assert abs(prk[da3.identity] - 2.0) < 1e-12
@@ -125,7 +125,7 @@ def test_projection_inequality_random(da3, ball6):
                 },
             )
             for side in ("right", "left"):
-                projection(phi, ball6, p, side, validate=True)  # raises on violation
+                projection(phi, ball6, p, side)  # raises on violation
 
 
 def test_projection_against_fact_counts(da3, ball6):

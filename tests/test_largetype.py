@@ -11,7 +11,7 @@ from artingeo.largetype import (
 )
 from artingeo.words import parse_word, syllable_count
 
-from conftest import freely_reduced_words, merge_row
+from conftest import freely_reduced_words, merge_row, rename
 
 W = parse_word
 
@@ -181,7 +181,7 @@ def test_merge_agrees_with_dihedral_on_pairs(stash):
         G = stash.group(name)
         for i, j in G.pres.pairs():
             D = stash.group(f"da{G.pres.label(i, j)}")
-            up = lambda w: G.from_dihedral(w, i, j)
+            up = lambda w: rename(w, (1, 2), (i, j))
             ball = D.ball(4)
             for k in range(5):
                 for l in range(5 - k):
