@@ -1,17 +1,20 @@
 """
 Finitely supported functions on the group: norms, convolution, projections.
 
-The length function is word length |g| of the normal form, so spheres C_k
-and the pointwise restrictions phi_k are read straight off the support.
-Convolution is the exact double sum (phi * psi)(g) = sum_h phi(h) psi(h^-1 g)
-over the finite supports.  The square-summed projections
+Functions are keyed by normal-form words, which are used only to build one
+and to read it back; inside, every operation runs on the ids of an
+enumerated Cayley ball and reads each product uv off the ball's product
+table, with no element arithmetic.  Convolution
+(phi * psi)(g) = sum_{uv = g} phi(u) psi(v) is one scatter-add of the outer
+product of the coefficient vectors onto the product ids.  The square-summed
+projections
 
   right:  g in C_{k-p}  |->  sqrt( sum_{h in C_p, (g,h) permissible} |phi_k(g h)|^2 )
   left:   g in C_{k-p}  |->  sqrt( sum_{h in C_p, (h,g) permissible} |phi_k(h g)|^2 )
 
-satisfy ||proj||_2^2 <= F_{P,k-p,p} ||phi_k||_2^2 where F_{P,a,b} is the
-largest number of permissible (a,b)-factorisations any element of C_{a+b}
-has; the projection code can verify that bound on every call.
+and the largest number F_{P,a,b} of permissible (a,b)-factorisations of an
+element of C_{a+b} are read off one table of permissible pairs (u, v, uv);
+every projection checks ||proj||_2^2 <= F_P ||phi_k||_2^2 from that table.
 
 The operator norm ||phi||_* = sup ||phi * psi||_2 / ||psi||_2 is estimated
 from below by restricting psi to a ball and power-iterating the restricted
@@ -22,13 +25,13 @@ each radius from the previous maximiser.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from typing import Iterable
 
 import numpy as np
 
 from .largetype import ArtinGroup
-from .shortlex import ElementBall, GroupElement
+from .shortlex import CayleyBall, ElementBall, GroupElement
 from .words import Word
 
 
@@ -52,12 +55,12 @@ class GroupFunction:
         return GroupFunction(group, {g if isinstance(g, GroupElement) else group.element(g): value})
 
     @staticmethod
-    def indicator(group: ArtinGroup, elements: Iterable) -> "GroupFunction":
-        return GroupFunction(group, {g: 1.0 for g in elements})
-
-    @staticmethod
     def sphere_indicator(group: ArtinGroup, ball: ElementBall, k: int) -> "GroupFunction":
         return GroupFunction(group, {ball.words[i]: 1.0 for i in ball.sphere(k)})
+
+    @staticmethod
+    def _from_vector(group: ArtinGroup, ball: CayleyBall, x: np.ndarray) -> "GroupFunction":
+        return GroupFunction(group, {ball.words[i]: x[i] for i in np.flatnonzero(x)})
 
     # -- basics ----------------------------------------------------------------
 
@@ -66,6 +69,11 @@ class GroupFunction:
 
     def support(self) -> list[Word]:
         return sorted(self.coeffs)
+
+    def _on(self, ball: CayleyBall) -> tuple[list[int], np.ndarray]:
+        """Ball ids of the support and the coefficients, in support order."""
+        supp = self.support()
+        return [ball.index[w] for w in supp], np.array([self.coeffs[w] for w in supp])
 
     def __getitem__(self, g) -> complex:
         word = g.word if isinstance(g, GroupElement) else self.group.nf(g)
@@ -100,15 +108,14 @@ class GroupFunction:
     # -- convolution ---------------------------------------------------------------
 
     def convolve(self, other: "GroupFunction") -> "GroupFunction":
-        engine = self.group.engine
-        acc: dict[Word, complex] = {}
-        for u, cu in self.items():
-            for v, cv in other.items():
-                w = u
-                for a in v:
-                    w = engine.append(w, a)
-                acc[w] = acc.get(w, 0) + cu * cv
-        return GroupFunction(self.group, acc)
+        if not self.coeffs or not other.coeffs:
+            return GroupFunction(self.group, {})
+        ball = self.group.ball(max(map(len, self.coeffs)) + max(map(len, other.coeffs)))
+        us, f = self._on(ball)
+        vs, g = other._on(ball)
+        acc = np.zeros(len(ball), dtype=complex)
+        np.add.at(acc, ball.products(us, vs), np.outer(f, g).ravel())
+        return GroupFunction._from_vector(self.group, ball, acc)
 
     def __mul__(self, other):
         if isinstance(other, GroupFunction):
@@ -116,26 +123,31 @@ class GroupFunction:
         return self.scale(other)
 
 
-def norms(phi: GroupFunction, r: float) -> tuple[float, float]:
-    return phi.l2_norm(), phi.sobolev_norm(r)
+# -- permissible factorisations ------------------------------------------------
 
 
-# -- permissible factorisation counts ------------------------------------------
+def permissible_pairs(group: ArtinGroup, ball: ElementBall, k: int, l: int):
+    """
+    Id arrays (u, v, uv) of the permissible pairs (u, v) in C_k x C_l with
+    |uv| = k + l, in row-major order.
+    """
+    if k + l > ball.radius:
+        raise ValueError("ball too small for the requested factorisations")
+    us, vs = ball.sphere(k), ball.sphere(l)
+    prods = np.array(ball.products(us, vs), dtype=np.int64).reshape(len(us), len(vs))
+    a, b = np.nonzero(np.asarray(ball.length)[prods] == k + l)
+    eu, ev = [ball.element(i) for i in us], [ball.element(i) for i in vs]
+    keep = np.array([group.permissible(eu[i], ev[j]) for i, j in zip(a, b)], dtype=bool)
+    a, b = a[keep], b[keep]
+    return np.asarray(us, dtype=np.int64)[a], np.asarray(vs, dtype=np.int64)[b], prods[a, b]
 
 
 def permissible_fact_counts(
     group: ArtinGroup, ball: ElementBall, k: int, l: int
 ) -> dict[int, int]:
-    """|Fact_{P,k,l}(g)| for every g in C_{k+l}, via forward product walks."""
-    if k + l > ball.radius:
-        raise ValueError("ball too small for the requested factorisations")
-    us, vs = ball.sphere(k), ball.sphere(l)
-    pairs = itertools.product([ball.element(i) for i in us], [ball.element(i) for i in vs])
-    counts: dict[int, int] = {}
-    for (u, v), gi in zip(pairs, ball.products(us, vs)):
-        if ball.length[gi] == k + l and group.permissible(u, v):
-            counts[gi] = counts.get(gi, 0) + 1
-    return counts
+    """|Fact_{P,k,l}(g)| for every g in C_{k+l} that has one, keyed by ball id."""
+    counts = np.bincount(permissible_pairs(group, ball, k, l)[2])
+    return {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
 
 
 def permissible_fact_sup(group: ArtinGroup, ball: ElementBall, k: int, l: int):
@@ -143,7 +155,7 @@ def permissible_fact_sup(group: ArtinGroup, ball: ElementBall, k: int, l: int):
     counts = permissible_fact_counts(group, ball, k, l)
     if not counts:
         return 0, None
-    best = max(sorted(counts), key=lambda g: counts[g])
+    best = max(counts, key=counts.get)
     return counts[best], ball.words[best]
 
 
@@ -170,24 +182,16 @@ def projection(
     (k,) = lengths
     if not 0 <= p <= k:
         raise ValueError("need 0 <= p <= k")
-    acc: dict[Word, float] = {}
-    sphere_p = [ball.element(i) for i in ball.sphere(p)]
-    for u, cu in phi_k.items():
-        ue = GroupElement(group.engine, u)
-        for h in sphere_p:
-            if side == "right":
-                g = ue * h.inv()
-                ok = len(g) == k - p and group.permissible(g, h)
-            elif side == "left":
-                g = h.inv() * ue
-                ok = len(g) == k - p and group.permissible(h, g)
-            else:
-                raise ValueError("side must be 'left' or 'right'")
-            if ok:
-                acc[g.word] = acc.get(g.word, 0.0) + abs(cu) ** 2
-    proj = GroupFunction(group, {w: np.sqrt(v) for w, v in acc.items()})
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
     a, b = (k - p, p) if side == "right" else (p, k - p)
-    bound, _ = permissible_fact_sup(group, ball, a, b)
+    u, v, uv = permissible_pairs(group, ball, a, b)
+    ids, coeff = phi_k._on(ball)
+    sq = np.zeros(len(ball))
+    sq[ids] = np.abs(coeff) ** 2
+    acc = np.bincount(u if side == "right" else v, weights=sq[uv], minlength=len(ball))
+    proj = GroupFunction._from_vector(group, ball, np.sqrt(acc))
+    bound = int(np.bincount(uv).max()) if len(uv) else 0
     lhs = proj.l2_norm() ** 2
     rhs = bound * phi_k.l2_norm() ** 2
     if lhs > rhs + 1e-9:
@@ -221,22 +225,15 @@ def star_star_trials(
     cl = ball.sphere(l)
     if not ck or not cl:
         return []
-    # precompute the product for every support pair, one row per u
-    prods = ball.products(ck, cl)
-    pairs = [prods[a : a + len(cl)] for a in range(0, len(prods), len(cl))]
+    prods = np.array(ball.products(ck, cl), dtype=np.int64).reshape(len(ck), len(cl))
+    mask = np.asarray(ball.length)[prods] == m
+    # position of each masked product among the distinct elements of C_m it hits
+    cells, slot = np.unique(prods[mask], return_inverse=True)
 
     def ratio(fu: np.ndarray, fv: np.ndarray) -> float:
-        acc: dict[int, complex] = {}
-        for a, ui in enumerate(ck):
-            cu = fu[a]
-            if cu == 0:
-                continue
-            row = pairs[a]
-            for b in range(len(cl)):
-                gi = row[b]
-                if ball.length[gi] == m:
-                    acc[gi] = acc.get(gi, 0) + cu * fv[b]
-        num = np.sqrt(sum(abs(v) ** 2 for v in acc.values()))
+        acc = np.zeros(len(cells), dtype=complex)
+        np.add.at(acc, slot, np.outer(fu, fv)[mask])
+        num = np.sqrt(np.sum(np.abs(acc) ** 2))
         den = np.linalg.norm(fu) * np.linalg.norm(fv)
         return float(num / den) if den else 0.0
 
@@ -252,11 +249,9 @@ def star_star_trials(
         np.eye(1, len(ck), 0).ravel(),
         np.eye(1, len(cl), 0).ravel(),
     )
-    multi_k = np.array(
-        [1.0 if len(group.geodesic_words(ball.element(i))) > 1 else 0.0 for i in ck]
-    )
-    multi_l = np.array(
-        [1.0 if len(group.geodesic_words(ball.element(i))) > 1 else 0.0 for i in cl]
+    multi_k, multi_l = (
+        np.array([float(len(group.geodesic_words(ball.element(i))) > 1) for i in ids])
+        for ids in (ck, cl)
     )
     if multi_k.any() and multi_l.any():
         record("multi-spelling", multi_k, multi_l)
@@ -282,29 +277,24 @@ def operator_norm_estimate(phi: GroupFunction, radius: int, iterations: int = 80
 def operator_norm_profile(phi: GroupFunction, radii: Iterable[int], iterations: int = 80):
     """
     operator_norm_estimate over increasing radii.  Each radius is
-    warm-started with the previous maximising vector (zero-padded), so the
-    reported lower bounds are nondecreasing in R.
+    warm-started with the previous maximising vector, zero-padded: ball ids
+    are breadth-first, so the radius-R ball is an id prefix of every larger
+    one and the reported lower bounds are nondecreasing in R.
     """
     radii = sorted(radii)
-    supp = phi.support()
-    if not supp:
+    if not phi.coeffs:
         return [(R, 0.0) for R in radii]
-    ell = max(len(w) for w in supp)
-    big = phi.group.ball(max(radii) + ell)
-    coeff = np.array([phi.coeffs[w] for w in supp])
-    rows = [big.index[w] for w in supp]
+    big = phi.group.ball(max(radii) + max(map(len, phi.coeffs)))
+    rows, coeff = phi._on(big)
     out = []
-    prev: dict[int, complex] | None = None  # last vector, by ball id
+    x = None
     best = 0.0
     for R in radii:
-        inner = [i for i in range(len(big)) if big.length[i] <= R]
+        inner = range(bisect_right(big.length, R))
         # scatter maps: position of h * v in the big ball for each inner v, one row per h
         prods = np.array(big.products(rows, inner), dtype=np.int64)
-        scatter = list(prods.reshape(len(supp), len(inner)))
-        if prev is None:
-            x = np.ones(len(inner), dtype=complex)
-        else:
-            x = np.array([prev.get(i, 0.0) for i in inner], dtype=complex)
+        scatter = list(prods.reshape(len(rows), len(inner)))
+        x = np.ones(len(inner), dtype=complex) if x is None else np.pad(x, (0, len(inner) - len(x)))
         for _ in range(iterations):
             nx = np.linalg.norm(x)
             if nx == 0:
@@ -319,5 +309,4 @@ def operator_norm_profile(phi: GroupFunction, radii: Iterable[int], iterations: 
             for c, sc in zip(coeff, scatter):
                 x += np.conj(c) * y[sc]
         out.append((R, best))
-        prev = dict(zip(inner, x))
     return out

@@ -162,15 +162,6 @@ class ArtinGroup:
     def is_geodesic(self, word) -> bool:
         return self.engine.is_geodesic(word)
 
-    def multiply(self, g, h) -> GroupElement:
-        return self.engine.multiply(g, h)
-
-    def invert(self, g) -> GroupElement:
-        return self.engine.invert(g)
-
-    def length(self, g) -> int:
-        return len(g.word)
-
     def final_letters(self, g) -> set[int]:
         return self.engine.final_letters(g)
 

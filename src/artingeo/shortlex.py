@@ -180,9 +180,6 @@ class ShortlexEngine:
             self._inv[hit] = g.word
         return GroupElement(self, hit)
 
-    def length(self, g: GroupElement) -> int:
-        return len(g.word)
-
     def letters(self) -> LetterOrder:
         return default_order(self.pres.n)
 

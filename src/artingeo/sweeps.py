@@ -29,10 +29,12 @@ def d1_scan(group: ArtinGroup, radius: int, min_values=(1, 2, 3), pres_id="pres"
     requested set (the k > l values follow by symmetry of the definition).
     Returns (csv_rows, summary).
     """
+    if any(k < 1 for k in min_values):
+        raise ValueError(f"min(k, l) values must be >= 1, got {sorted(min_values)}")
     ball = group.ball(radius)
     rows = []
     argmax: dict[int, tuple] = {}
-    for k in sorted(min_values):
+    for k in sorted(set(min_values)):
         for l in range(k, radius - k + 1):
             value, witness = permissible_fact_sup(group, ball, k, l)
             rows.append((pres_id, k, l, "F_P", value))

@@ -1,6 +1,10 @@
 """The command-line surface: outputs, JSON modes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,8 +107,12 @@ def test_error_json(capsys):
         ["rd-check", "--radius", "-1"],
         ["rd-check", "--radius", "2", "--trials", "-2"],
         ["divisors", "ab", "1", "5"],
+        ["d1-scan", "--min-kl", "-1"],
     ],
-    ids=["ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors"],
+    ids=[
+        "ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors",
+        "d1-scan-min-kl",
+    ],
 )
 def test_out_of_range_input(capsys, argv):
     code, payload = run_json(capsys, "--preset", "da3", "--json", *argv)
@@ -139,6 +147,31 @@ def test_d1_artifacts_deterministic(tmp_path, capsys):
         assert code == 0
     assert (out1 / "d1.csv").read_bytes() == (out2 / "d1.csv").read_bytes()
     assert (out1 / "d1_summary.json").read_bytes() == (out2 / "d1_summary.json").read_bytes()
+
+
+def test_d1_min_kl_repeats_are_ignored(tmp_path, capsys):
+    rows = {}
+    for values in (["1"], ["1", "1"]):
+        out = tmp_path / "-".join(values)
+        code, _ = run(
+            capsys, "--preset", "da3", "--out", str(out), "d1-scan", "--radius", "4",
+            "--min-kl", *values,
+        )
+        assert code == 0
+        rows[len(values)] = (out / "d1.csv").read_bytes()
+    assert rows[1] == rows[2]
+
+
+def test_operator_norms_script():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run(
+        [sys.executable, str(root / "scripts" / "operator_norms.py"), "3", "dainf"],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = [line.strip() for line in res.stdout.splitlines()]
+    assert "R=2: 2.933522" in lines and "R=3: 2.933522" in lines
 
 
 def test_rd_check_artifacts_deterministic(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from artingeo.harmonic import (
     GroupFunction,
-    norms,
     operator_norm_estimate,
     operator_norm_profile,
     permissible_fact_counts,
@@ -31,9 +30,9 @@ def ball6(da3):
 
 def test_norm_examples(da3, ball6):
     atom = GroupFunction.atom(da3, da3.identity)
-    assert norms(atom, 3) == (1.0, 1.0)
+    assert (atom.l2_norm(), atom.sobolev_norm(3)) == (1.0, 1.0)
     chi1 = GroupFunction.sphere_indicator(da3, ball6, 1)
-    assert norms(chi1, 1) == (2.0, 4.0)
+    assert (chi1.l2_norm(), chi1.sobolev_norm(1)) == (2.0, 4.0)
     phi = GroupFunction(da3, {"ab": 3, "ba": 4j})
     l2, s0 = phi.l2_norm(), phi.sobolev_norm(0)
     assert abs(l2 - 5.0) < 1e-12 and abs(s0 - l2) < 1e-12
@@ -133,6 +132,79 @@ def test_projection_against_fact_counts(da3, ball6):
     fsup, witness = permissible_fact_sup(da3, ball6, 2, 2)
     assert fsup == max(counts.values())
     assert counts[ball6.index[witness]] == fsup
+
+
+def random_function(group, ball, ids, rng):
+    return GroupFunction(
+        group, {ball.words[i]: complex(*rng.standard_normal(2)) for i in ids}
+    )
+
+
+@pytest.mark.parametrize("name, radius", [("da3", 3), ("triangle345", 2)])
+def test_convolution_matches_element_double_sum(stash, name, radius):
+    # the scatter-add over the product table against sum phi(u) psi(v) at nf(uv)
+    group = stash.group(name)
+    ball = group.ball(radius)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        phi, psi = (
+            random_function(group, ball, rng.choice(len(ball), len(ball) // 2, False), rng)
+            for _ in range(2)
+        )
+        direct = {}
+        for u, cu in phi.items():
+            for v, cv in psi.items():
+                w = group.nf(u + v)
+                direct[w] = direct.get(w, 0) + cu * cv
+        conv = phi * psi
+        assert len({len(w) for w in phi.support()}) > 1  # mixed spheres
+        for w in set(direct) | set(conv.coeffs):
+            assert abs(conv[w] - direct.get(w, 0)) < 1e-12
+
+
+@pytest.mark.parametrize("name, radius", [("da3", 6), ("triangle345", 4)])
+def test_projection_matches_definition(stash, name, radius):
+    # the pair table against g = u h^-1 (right) or h^-1 u (left), |g| = k - p
+    group = stash.group(name)
+    ball = group.ball(radius)
+    rng = np.random.default_rng(5)
+    for k in range(1, min(radius, 5) + 1):
+        sphere = ball.sphere(k)
+        phi = random_function(group, ball, rng.choice(sphere, min(len(sphere), 40), False), rng)
+        for p in range(k + 1):
+            sphere_p = [ball.element(i) for i in ball.sphere(p)]
+            for side in ("right", "left"):
+                direct = {}
+                for u, cu in phi.items():
+                    ue = group.element(u)
+                    for h in sphere_p:
+                        g = ue * h.inv() if side == "right" else h.inv() * ue
+                        pair = (g, h) if side == "right" else (h, g)
+                        if len(g) == k - p and group.permissible(*pair):
+                            direct[g.word] = direct.get(g.word, 0.0) + abs(cu) ** 2
+                proj = projection(phi, ball, p, side)
+                assert set(proj.support()) == set(direct), (k, p, side)
+                for w, v in direct.items():
+                    assert abs(proj[w] - np.sqrt(v)) < 1e-12
+
+
+def test_fact_counts_match_oracle(stash):
+    group = stash.group("triangle444")
+    ball = group.ball(5)
+    oracle_ball = stash.oracle_ball("triangle444", 5)
+
+    def permissible(w1, w2):
+        return group.permissible(group.element(w1), group.element(w2))
+
+    for k in range(6):
+        for l in range(6 - k):
+            counts = permissible_fact_counts(group, ball, k, l)
+            assert set(counts) <= set(ball.sphere(k + l))
+            for g in ball.sphere(k + l):
+                want, _ = oracle_ball.fact_count(
+                    oracle_ball.index[ball.words[g]], k, l, True, permissible
+                )
+                assert counts.get(g, 0) == want, (k, l, ball.words[g])
 
 
 def test_star_star_trials_properties(da3, ball6):
