@@ -343,7 +343,7 @@ def main(argv=None) -> int:
             "rd-check": cmd_rd_check,
         }
         return handlers[args.command](group, args)
-    except (ValueError, HypothesisError, OnetailFailure, FileNotFoundError) as exc:
+    except (ValueError, HypothesisError, OnetailFailure, OSError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         return 2
 

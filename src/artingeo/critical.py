@@ -29,9 +29,11 @@ Words that are not shortlex minimal are repaired by *critical sequences*:
 chains of tau-moves in which consecutive moved subwords overlap in exactly
 one letter.  A rightward chain ends in a free cancellation and shortens the
 word; a leftward chain keeps the length and lowers the word
-lexicographically.  This module implements the classification, the moves and
-exhaustive chain searches; the shortlex engine and the brute-force oracle
-are both built on top of it.
+lexicographically.  This module implements the classification and the
+moves, and one iterative depth-first walker, `critical_chains`, over every
+chain in either direction; the rightward, leftward and letter-change
+searches are short loops over its states.  The shortlex engine and the
+brute-force oracle are both built on top of it.
 """
 
 from __future__ import annotations
@@ -225,8 +227,7 @@ def tau(c: CriticalWord) -> Word:
 
 def critical_spans(w: Word, label: LabelFn) -> Iterator[tuple[int, int, CriticalWord]]:
     """All (start, end, classification) of critical subwords of w."""
-    L = len(w)
-    for s in range(L):
+    for s in range(len(w)):
         yield from critical_spans_from(w, s, label)
 
 
@@ -408,14 +409,46 @@ class CriticalSequence:
     free_cancellation: bool
 
     def overlaps_in_single_letters(self) -> bool:
+        pairs = zip(self.moves, self.moves[1:])
         if self.direction == "rightward":
-            return all(
-                nxt[0] == cur[1] - 1
-                for cur, nxt in zip(self.moves, self.moves[1:])
-            )
-        return all(
-            nxt[1] == cur[0] + 1 for cur, nxt in zip(self.moves, self.moves[1:])
-        )
+            return all(nxt[0] == cur[1] - 1 for cur, nxt in pairs)
+        return all(nxt[1] == cur[0] + 1 for cur, nxt in pairs)
+
+
+def _image_cancels(word: Word, span: tuple[int, int]) -> bool:
+    """Whether the tau image at span cancels a neighbour; images are reduced, so only ends can."""
+    s, e = span
+    return (s > 0 and word[s - 1] == -word[s]) or (e < len(word) and word[e - 1] == -word[e])
+
+
+def critical_chains(
+    w: Word, label: LabelFn, rightward: bool
+) -> Iterator[tuple[Word, tuple[tuple[int, int], ...]]]:
+    """
+    Walk every critical sequence on the freely reduced word w depth first,
+    yielding (word, moves) after each tau-move, where moves are the spans
+    moved so far.  The first move is at any critical span of w; each later
+    one starts at the last letter of the previous image (rightward) or ends
+    at its first letter (leftward).  A word that is not freely reduced ends
+    its chain, and a (word, overlap) state is continued only the first time
+    it is reached.
+    """
+    follow = critical_spans_from if rightward else critical_spans_ending
+    seen: set[tuple[Word, int]] = set()
+    stack = [(w, (), critical_spans(w, label))]
+    while stack:
+        cur, moves, spans = stack[-1]
+        for s, e, c in spans:
+            nxt = apply_tau_at(cur, s, e, c)
+            trail = moves + ((s, e),)
+            yield nxt, trail
+            pos = e - 1 if rightward else s + 1
+            if not _image_cancels(nxt, (s, e)) and (nxt, pos) not in seen:
+                seen.add((nxt, pos))
+                stack.append((nxt, trail, follow(nxt, pos, label)))
+                break
+        else:
+            stack.pop()
 
 
 def rightward_length_reduction(
@@ -428,33 +461,10 @@ def rightward_length_reduction(
     Returns the freely reduced result (2 letters shorter), or None; with
     with_trace=True the applied sequence is returned alongside.
     """
-    seen: set[tuple[Word, int]] = set()
-
-    def wrap(word: Word, trail: tuple) -> object:
-        if not with_trace:
-            return word
-        return word, CriticalSequence("rightward", trail, True)
-
-    def chase(cur: Word, pos: int, trail: tuple) -> Optional[object]:
-        if (cur, pos) in seen:
-            return None
-        seen.add((cur, pos))
-        for s, e, c in critical_spans_from(cur, pos, label):
-            nxt = apply_tau_at(cur, s, e, c)
-            if not is_freely_reduced(nxt):
-                return wrap(free_reduce(nxt), trail + ((s, e),))
-            res = chase(nxt, e - 1, trail + ((s, e),))
-            if res is not None:
-                return res
-        return None
-
-    for s, e, c in critical_spans(w, label):
-        nxt = apply_tau_at(w, s, e, c)
-        if not is_freely_reduced(nxt):
-            return wrap(free_reduce(nxt), ((s, e),))
-        res = chase(nxt, e - 1, ((s, e),))
-        if res is not None:
-            return res
+    for word, moves in critical_chains(w, label, rightward=True):
+        if _image_cancels(word, moves[-1]):
+            red = free_reduce(word)
+            return (red, CriticalSequence("rightward", moves, True)) if with_trace else red
     return None
 
 
@@ -465,30 +475,13 @@ def leftward_lex_reduction(w: Word, label: LabelFn, key) -> Optional[Word]:
     of the same length.  Returns the best word found over all chain states,
     or a strictly shorter word if a chain state admits free reduction.
     """
-    best = w
-    bkey = key(w)
-    seen: set[tuple[Word, int]] = set()
-    stack: list[tuple[Word, int]] = []
-
-    for s, e, c in critical_spans(w, label):
-        nxt = apply_tau_at(w, s, e, c)
-        if not is_freely_reduced(nxt):
-            return free_reduce(nxt)
-        stack.append((nxt, s))
-
-    while stack:
-        cur, pos = stack.pop()
-        if (cur, pos) in seen:
-            continue
-        seen.add((cur, pos))
-        ck = key(cur)
-        if ck < bkey:
-            best, bkey = cur, ck
-        for s, e, c in critical_spans_ending(cur, pos + 1, label):
-            nxt = apply_tau_at(cur, s, e, c)
-            if not is_freely_reduced(nxt):
-                return free_reduce(nxt)
-            stack.append((nxt, s))
+    best, bkey = w, key(w)
+    for word, moves in critical_chains(w, label, rightward=False):
+        if _image_cancels(word, moves[-1]):
+            return free_reduce(word)
+        wk = key(word)
+        if wk < bkey:
+            best, bkey = word, wk
     return best if best != w else None
 
 
@@ -499,30 +492,9 @@ def rightward_letter_change(w: Word, label: LabelFn, target: int) -> Optional[Wo
     geodesic spellings with different last letters are linked by a single
     rightward critical sequence.
     """
-    seen: set[tuple[Word, int]] = set()
-
-    def chase(cur: Word, pos: int) -> Optional[Word]:
-        if (cur, pos) in seen:
-            return None
-        seen.add((cur, pos))
-        if cur[-1] == target:
-            return cur
-        for s, e, c in critical_spans_from(cur, pos, label):
-            nxt = apply_tau_at(cur, s, e, c)
-            if not is_freely_reduced(nxt):
-                continue
-            res = chase(nxt, e - 1)
-            if res is not None:
-                return res
-        return None
-
-    for s, e, c in critical_spans(w, label):
-        nxt = apply_tau_at(w, s, e, c)
-        if not is_freely_reduced(nxt):
-            continue
-        res = chase(nxt, e - 1)
-        if res is not None:
-            return res
+    for word, moves in critical_chains(w, label, rightward=True):
+        if word[-1] == target and not _image_cancels(word, moves[-1]):
+            return word
     return None
 
 

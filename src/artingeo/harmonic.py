@@ -1,13 +1,12 @@
 """
 Finitely supported functions on the group: norms, convolution, projections.
 
-Functions are keyed by normal-form words, which are used only to build one
-and to read it back; inside, every operation runs on the ids of an
-enumerated Cayley ball and reads each product uv off the ball's product
-table, with no element arithmetic.  Convolution
-(phi * psi)(g) = sum_{uv = g} phi(u) psi(v) is one scatter-add of the outer
-product of the coefficient vectors onto the product ids.  The square-summed
-projections
+Functions are keyed by normal-form words.  Convolution
+(phi * psi)(g) = sum_{uv = g} phi(u) psi(v) multiplies each pair of support
+words through the engine, so its cost follows the supports, not a ball.
+Every other operation runs on the ids of an enumerated Cayley ball and
+reads each product uv off the ball's product table, with no element
+arithmetic.  The square-summed projections
 
   right:  g in C_{k-p}  |->  sqrt( sum_{h in C_p, (g,h) permissible} |phi_k(g h)|^2 )
   left:   g in C_{k-p}  |->  sqrt( sum_{h in C_p, (h,g) permissible} |phi_k(h g)|^2 )
@@ -58,10 +57,6 @@ class GroupFunction:
     def sphere_indicator(group: ArtinGroup, ball: ElementBall, k: int) -> "GroupFunction":
         return GroupFunction(group, {ball.words[i]: 1.0 for i in ball.sphere(k)})
 
-    @staticmethod
-    def _from_vector(group: ArtinGroup, ball: CayleyBall, x: np.ndarray) -> "GroupFunction":
-        return GroupFunction(group, {ball.words[i]: x[i] for i in np.flatnonzero(x)})
-
     # -- basics ----------------------------------------------------------------
 
     def items(self):
@@ -108,14 +103,12 @@ class GroupFunction:
     # -- convolution ---------------------------------------------------------------
 
     def convolve(self, other: "GroupFunction") -> "GroupFunction":
-        if not self.coeffs or not other.coeffs:
-            return GroupFunction(self.group, {})
-        ball = self.group.ball(max(map(len, self.coeffs)) + max(map(len, other.coeffs)))
-        us, f = self._on(ball)
-        vs, g = other._on(ball)
-        acc = np.zeros(len(ball), dtype=complex)
-        np.add.at(acc, ball.products(us, vs), np.outer(f, g).ravel())
-        return GroupFunction._from_vector(self.group, ball, acc)
+        acc: dict[Word, complex] = {}
+        for u, a in self.items():
+            for v, b in other.items():
+                uv = self.group.nf(u + v)
+                acc[uv] = acc.get(uv, 0) + a * b
+        return GroupFunction(self.group, acc)
 
     def __mul__(self, other):
         if isinstance(other, GroupFunction):
@@ -190,7 +183,7 @@ def projection(
     sq = np.zeros(len(ball))
     sq[ids] = np.abs(coeff) ** 2
     acc = np.bincount(u if side == "right" else v, weights=sq[uv], minlength=len(ball))
-    proj = GroupFunction._from_vector(group, ball, np.sqrt(acc))
+    proj = GroupFunction(group, {ball.words[i]: np.sqrt(acc[i]) for i in np.flatnonzero(acc)})
     bound = int(np.bincount(uv).max()) if len(uv) else 0
     lhs = proj.l2_norm() ** 2
     rhs = bound * phi_k.l2_norm() ** 2
@@ -282,7 +275,7 @@ def operator_norm_profile(phi: GroupFunction, radii: Iterable[int], iterations: 
     one and the reported lower bounds are nondecreasing in R.
     """
     radii = sorted(radii)
-    if not phi.coeffs:
+    if not phi.coeffs or not radii:
         return [(R, 0.0) for R in radii]
     big = phi.group.ball(max(radii) + max(map(len, phi.coeffs)))
     rows, coeff = phi._on(big)

@@ -109,8 +109,7 @@ class ShortlexEngine:
         self._inv: dict[Word, Word] = {}
         self._geo: dict[Word, frozenset[Word]] = {}
         self._rdiv: dict[tuple[Word, int], tuple[Word, ...]] = {}
-        self._reordered: dict[tuple[int, int], "ShortlexEngine"] = {}
-        self.identity = GroupElement(self, ())
+        self._reordered: dict[tuple[int, int], "ShortlexEngine | None"] = {}
 
     # -- words ----------------------------------------------------------
 
@@ -162,6 +161,11 @@ class ShortlexEngine:
         return len(self.nf(w)) == len(w)
 
     # -- elements ---------------------------------------------------------
+
+    @property
+    def identity(self) -> GroupElement:
+        # not stored: a self-referring engine outlives its last user until the cyclic GC runs
+        return GroupElement(self, ())
 
     def element(self, word: Iterable[int] | str) -> GroupElement:
         return GroupElement(self, self.nf(word))
@@ -218,12 +222,11 @@ class ShortlexEngine:
     def reordered(self, i: int, j: int) -> "ShortlexEngine":
         """Engine whose shortlex order lists names i, j first (self if this one does)."""
         key = (i, j)
-        eng = self._reordered.get(key)
-        if eng is None:
+        if key not in self._reordered:
             order = pair_first_order(self.pres.n, i, j)
-            eng = self if order == self.order else ShortlexEngine(self.pres, order)
-            self._reordered[key] = eng
-        return eng
+            # None stands for self, for the reason given at `identity`
+            self._reordered[key] = None if order == self.order else ShortlexEngine(self.pres, order)
+        return self._reordered[key] or self
 
 
 class BallBudgetError(RuntimeError):

@@ -121,6 +121,20 @@ def test_out_of_range_input(capsys, argv):
         assert "generator 5" in payload["error"]
 
 
+@pytest.mark.parametrize("via", ["out", "cache"])
+def test_file_system_errors_keep_json_contract(tmp_path, capsys, monkeypatch, via):
+    # a regular file where a directory is needed is an exit-2 JSON error
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if via == "out":
+        argv = ["--preset", "da3", "--json", "--out", str(blocker), "ball", "2"]
+    else:
+        monkeypatch.setenv("ARTINGEO_CACHE", str(blocker))
+        argv = ["--preset", "da3", "--json", "ball", "2"]
+    code, payload = run_json(capsys, *argv)
+    assert code == 2 and payload["type"] == "FileExistsError"
+
+
 def test_repro_command(capsys):
     code, out = run(capsys, "repro-paper")
     assert code == 0
@@ -172,6 +186,13 @@ def test_operator_norms_script():
     assert res.returncode == 0, res.stderr
     lines = [line.strip() for line in res.stdout.splitlines()]
     assert "R=2: 2.933522" in lines and "R=3: 2.933522" in lines
+    # a maximum radius below 2 leaves no radii: a header and no rows
+    res = subprocess.run(
+        [sys.executable, str(root / "scripts" / "operator_norms.py"), "1", "dainf"],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    assert res.returncode == 0, res.stderr
+    assert not any(line.strip().startswith("R=") for line in res.stdout.splitlines())
 
 
 def test_rd_check_artifacts_deterministic(tmp_path, capsys):

@@ -3,7 +3,9 @@
 import pytest
 
 from artingeo.critical import (
+    CriticalSequence,
     classify_critical,
+    critical_chains,
     critical_spans,
     delta_letter,
     delta_word,
@@ -192,8 +194,6 @@ def test_critical_spans_enumeration():
 
 
 def test_rightward_sequence_trace():
-    from artingeo.critical import CriticalSequence
-
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
     label = pair_label_fn(pres)
     out = rightward_length_reduction(W("aBBAcbbCBacaacA"), label, with_trace=True)
@@ -204,6 +204,29 @@ def test_rightward_sequence_trace():
     assert seq.direction == "rightward" and seq.free_cancellation
     assert len(seq.moves) >= 1
     assert seq.overlaps_in_single_letters()
+
+
+def test_long_rightward_chain_is_iterative():
+    # a chain of 1,500 tau-moves: far deeper than the interpreter's
+    # recursion limit, so only an iterative walker gets through it
+    label = pair_label_fn(CoxeterPresentation.dihedral(3))
+    w = W("a" * 1500 + "baab" * 750 + "A")
+    word, seq = rightward_length_reduction(w, label, with_trace=True)
+    assert len(word) == len(w) - 2 == 4499
+    assert len(seq.moves) == 1500
+    assert seq.overlaps_in_single_letters()
+
+
+@pytest.mark.parametrize("rightward", [True, False])
+def test_critical_chains_overlap_in_one_letter(rightward):
+    pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
+    label = pair_label_fn(pres)
+    direction = "rightward" if rightward else "leftward"
+    states = list(critical_chains(W("aBBAcbbCBacaacA"), label, rightward))
+    assert any(len(moves) > 1 for _, moves in states)
+    for word, moves in states:
+        assert len(word) == 15
+        assert CriticalSequence(direction, moves, False).overlaps_in_single_letters()
 
 
 def test_engine_rejects_out_of_range_letters():

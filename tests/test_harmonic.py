@@ -12,7 +12,9 @@ from artingeo.harmonic import (
     projection,
     star_star_trials,
 )
-
+from artingeo.largetype import ArtinGroup
+from artingeo.oracle import Oracle
+from artingeo.presets import load_preset
 from artingeo.words import parse_word
 
 W = parse_word
@@ -142,8 +144,9 @@ def random_function(group, ball, ids, rng):
 
 @pytest.mark.parametrize("name, radius", [("da3", 3), ("triangle345", 2)])
 def test_convolution_matches_element_double_sum(stash, name, radius):
-    # the scatter-add over the product table against sum phi(u) psi(v) at nf(uv)
+    # the convolution against sum phi(u) psi(v) at the oracle's form of uv
     group = stash.group(name)
+    oracle = stash.oracle(name)
     ball = group.ball(radius)
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -154,12 +157,23 @@ def test_convolution_matches_element_double_sum(stash, name, radius):
         direct = {}
         for u, cu in phi.items():
             for v, cv in psi.items():
-                w = group.nf(u + v)
+                w = oracle.canon(u + v)
                 direct[w] = direct.get(w, 0) + cu * cv
         conv = phi * psi
         assert len({len(w) for w in phi.support()}) > 1  # mixed spheres
         for w in set(direct) | set(conv.coeffs):
             assert abs(conv[w] - direct.get(w, 0)) < 1e-12
+
+
+def test_convolution_of_long_atoms_builds_no_ball():
+    # the cost of a convolution follows the supports: two length-6 atoms
+    # multiply to the atom at their product without enumerating a ball
+    group = ArtinGroup(load_preset("da3"))
+    phi = GroupFunction.atom(group, "ababab", 2.0)
+    psi = GroupFunction.atom(group, "bababa", 3j)
+    conv = phi * psi
+    assert conv.coeffs == {Oracle(group.pres).canon(W("abababbababa")): 6j}
+    assert group._balls == {}
 
 
 @pytest.mark.parametrize("name, radius", [("da3", 6), ("triangle345", 4)])
@@ -228,6 +242,7 @@ def test_operator_norm_atom_and_scaling(da3):
     e1 = operator_norm_estimate(phi, 3, iterations=30)
     e2 = operator_norm_estimate(phi.scale(-2.5), 3, iterations=30)
     assert abs(e2 - 2.5 * e1) < 1e-9
+    assert operator_norm_profile(phi, []) == []
 
 
 def test_operator_norm_free_group(stash):
