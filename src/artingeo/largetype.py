@@ -34,7 +34,9 @@ bounds |r| <= min(k, l) and |h1|, |h2| <= (m-1) min(k, l);
 dihedral_ctx(1, 2).compress turns its mergers back into geodesic words.
 
 Mergers of all length-(k,l) decompositions of g form the set S(g,k,l); T(k,l)
-collects the middle powers.  S splits into S0 (r = 0 with both sides powers
+collects the middle powers.  The decompositions Fact_{k,l}(g) are read off the
+fact_table(k, l) of the ball of radius k + l, the table the D2 scan walks and
+the oracle ball counts with.  S splits into S0 (r = 0 with both sides powers
 of one generator) and, via the reduction-to-two-generators construction, S1
 (the extracted f1'' fhat f2'' factorisation is geodesic) and S2 (it is not,
 in which case fhat = a^s b^t and a crossing letter c with balanced powers
@@ -54,7 +56,7 @@ from typing import Optional
 
 from .dihedral import DihedralContext
 from .presentation import CoxeterPresentation, INF
-from .shortlex import ElementBall, GroupElement, LetterOrder, ShortlexEngine
+from .shortlex import ElementBall, GroupElement, ShortlexEngine
 from .words import Word, syllable_count
 
 
@@ -134,14 +136,9 @@ class SDecomposition:
 class ArtinGroup:
     """A large-type Artin group with its shortlex engine and divisor calculus."""
 
-    def __init__(
-        self,
-        pres: CoxeterPresentation,
-        order: LetterOrder | None = None,
-        allow_counterexample: bool = False,
-    ):
+    def __init__(self, pres: CoxeterPresentation, allow_counterexample: bool = False):
         self.pres = pres
-        self.engine = ShortlexEngine(pres, order)
+        self.engine = ShortlexEngine(pres)
         self.allow_counterexample = allow_counterexample
         self._dihedral: dict = {}
         self._balls: dict[int, ElementBall] = {}
@@ -260,15 +257,17 @@ class ArtinGroup:
                 witnesses,
             )
         (a,) = letters
+        return ld * self.element((-a,) * self._strip_power(ld, -a)), 2, a
+
+    def _strip_power(self, g: GroupElement, a: int, left: bool = False) -> int:
+        """Largest s with |g a^s| = |g| - s, or |a^s g| = |g| - s when left."""
+        x = self.element((a,))
         s = 0
-        cur = ld
         while True:
-            nxt = cur * self.element((-a,))
-            if len(nxt) != len(cur) - 1:
-                break
-            cur = nxt
-            s += 1
-        return cur, 2, a
+            nxt = x * g if left else g * x
+            if len(nxt) != len(g) - 1:
+                return s
+            g, s = nxt, s + 1
 
     # -- permissibility ------------------------------------------------------------
 
@@ -391,32 +390,16 @@ class ArtinGroup:
 
     # -- S(g, k, l) and T(k, l) ---------------------------------------------------------
 
-    def sphere_elements(self, k: int) -> list[GroupElement]:
-        for r in sorted(self._balls):
-            if r >= k:
-                b = self._balls[r]
-                return [b.element(i) for i in b.sphere(k)]
-        b = self.ball(k)
-        return [b.element(i) for i in b.sphere(k)]
-
-    def decompositions(self, g: GroupElement, k: int, l: int):
-        """All (g1, g2) with g = g1 g2, |g1| = k, |g2| = l."""
-        out = []
-        for g1 in self.sphere_elements(k):
-            g2 = g1.inv() * g
-            if len(g2) == l:
-                out.append((g1, g2))
-        return out
-
-    def build_s_t(self, g: GroupElement, k: int, l: int, pairs=None) -> STResult:
-        """Mergers over all length-(k,l) decompositions of g, with the bounds."""
+    def build_s_t(self, g: GroupElement, k: int, l: int) -> STResult:
+        """Mergers over Fact_{k,l}(g), read off the ball of radius k + l, with the bounds."""
         self.require_33m("the S(g,k,l) sweep")
         triples: dict = {}
         middles: set[Word] = set()
         max_r = 0
         max_h = 0
-        for g1, g2 in pairs if pairs is not None else self.decompositions(g, k, l):
-            t = self.merge(g1, g2)
+        ball = self.ball(k + l)
+        for u, v in ball.fact_table(k, l).get(ball.index.get(g.word), ()):
+            t = self.merge(ball.element(u), ball.element(v))
             key = t.key()
             if key in triples:
                 triples[key] = (triples[key][0], triples[key][1] + 1)
@@ -551,23 +534,10 @@ class ArtinGroup:
         for c in self.engine.letters():
             if abs(c) in (i, j):
                 continue
-            qa = 0
-            cur = A
-            while True:
-                nxt = cur * self.element((-c,))
-                if len(nxt) != len(cur) - 1:
-                    break
-                cur, qa = nxt, qa + 1
-            if qa == 0:
+            q = self._strip_power(A, -c)
+            if q == 0:
                 continue
-            qb = 0
-            curb = B
-            while True:
-                nxt = self.element((c,)) * curb
-                if len(nxt) != len(curb) - 1:
-                    break
-                curb, qb = nxt, qb + 1
-            q = min(qa, qb)
+            q = min(q, self._strip_power(B, c, left=True))
             if q == 0:
                 continue
             if best is None or q > best[1] or (q == best[1] and c < best[0]):

@@ -28,13 +28,12 @@ table holds no engine: an oracle ball decides equality only through
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 
 from .critical import LabelFn, apply_tau_at, critical_spans, pair_label_fn
 from .presentation import INF, CoxeterPresentation, format_presentation
 from .shortlex import BallBudgetError  # noqa: F401  (raised by Ball; importable from here)
-from .shortlex import CayleyBall, LetterOrder, default_order
+from .shortlex import CayleyBall, default_order
 from .words import Word, free_reduce, inverse_word, parse_word
 
 
@@ -46,14 +45,9 @@ class Oracle:
     decision procedure by design.
     """
 
-    def __init__(
-        self,
-        pres: CoxeterPresentation,
-        order: LetterOrder | None = None,
-        max_len: int = 64,
-    ):
+    def __init__(self, pres: CoxeterPresentation, max_len: int = 64):
         self.pres = pres
-        self.order = tuple(order) if order else default_order(pres.n)
+        self.order = default_order(pres.n)
         self.max_len = max_len
         self._rank = {a: r for r, a in enumerate(self.order)}
         self.label: LabelFn = pair_label_fn(pres)
@@ -118,7 +112,6 @@ class Ball(CayleyBall):
     def __init__(self, oracle: Oracle, radius: int, max_elements=None, _load=None):
         self.oracle = oracle
         self._geodesic_words: dict[int, tuple[Word, ...]] = {}
-        self._fact: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
         if _load is not None:
             self._adopt(oracle.pres.n, radius, *_load)
         else:
@@ -173,21 +166,6 @@ class Ball(CayleyBall):
     def right_divisors(self, idx: int) -> set[int]:
         return {self.inverse(d) for d in self.left_divisors(self.inverse(idx))}
 
-    def fact_table(self, k: int, l: int) -> dict[int, list[tuple[int, int]]]:
-        """Product buckets: g -> [(u, v)] with u in C_k, v in C_l, uv = g."""
-        key = (k, l)
-        hit = self._fact.get(key)
-        if hit is not None:
-            return hit
-        if k + l > self.radius:
-            raise ValueError("fact_table requires k + l <= radius")
-        us, vs = self.sphere(k), self.sphere(l)
-        table: dict[int, list[tuple[int, int]]] = {}
-        for pair, g in zip(itertools.product(us, vs), self.products(us, vs)):
-            table.setdefault(g, []).append(pair)
-        self._fact[key] = table
-        return table
-
     def fact_count(
         self, g_idx: int, k: int, l: int, restricted: bool = False, permissible=None
     ) -> tuple[int, list[tuple[int, int]]]:
@@ -238,8 +216,16 @@ class Ball(CayleyBall):
             raise ValueError("ball cache was built under a different letter order")
         if data["presentation"] != format_presentation(oracle.pres):
             raise ValueError("ball cache belongs to a different presentation")
-        words = [tuple(w) for w in data["words"]]
-        adj = data["adj"]
+        radius, words, adj = data["radius"], data["words"], data["adj"]
+        if type(radius) is not int or radius < 0:
+            raise ValueError(f"ball cache radius {radius!r} is not a non-negative int")
+        if not isinstance(words, list) or not all(
+            isinstance(w, list) and all(type(a) is int for a in w) for w in words
+        ):
+            raise ValueError("ball cache words are not lists of ints")
+        if not isinstance(adj, list) or not all(isinstance(row, list) for row in adj):
+            raise ValueError("ball cache adjacency is not a list of rows")
+        words = [tuple(w) for w in words]
         N = len(words)
         if len(adj) != N:
             raise ValueError(f"ball cache has {len(adj)} adjacency rows for {N} words")
@@ -249,7 +235,7 @@ class Ball(CayleyBall):
                 raise ValueError(f"ball cache adjacency row of width {len(row)}, not {width}")
             if not all(type(i) is int and -1 <= i < N for i in row):
                 raise ValueError(f"ball cache adjacency id outside [-1, {N})")
-        return Ball(oracle, data["radius"], _load=(words, adj))
+        return Ball(oracle, radius, _load=(words, adj))
 
 
 def ball_cache_name(oracle: Oracle, radius: int) -> str:

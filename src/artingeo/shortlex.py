@@ -19,6 +19,7 @@ append cache, which doubles as the Cayley automaton of the group.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -310,6 +311,7 @@ class CayleyBall:
         self._spheres: dict[int, list[int]] = {}
         for idx, L in enumerate(self.length):
             self._spheres.setdefault(L, []).append(idx)
+        self._fact: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
 
     def __len__(self) -> int:
         return len(self.words)
@@ -352,6 +354,25 @@ class CayleyBall:
                     g = adj[g][c]
                 out.append(g)
         return out
+
+    def fact_table(self, k: int, l: int) -> dict[int, list[tuple[int, int]]]:
+        """
+        Fact_{k,l} buckets: g -> [(u, v)] with u in C_k, v in C_l and uv = g,
+        each g's pairs in row-major order.  Ids are breadth-first, so every
+        ball of radius >= k + l gives the same table.
+        """
+        key = (k, l)
+        hit = self._fact.get(key)
+        if hit is not None:
+            return hit
+        if k + l > self.radius:
+            raise ValueError("fact_table requires k + l <= radius")
+        us, vs = self.sphere(k), self.sphere(l)
+        table: dict[int, list[tuple[int, int]]] = {}
+        for pair, g in zip(itertools.product(us, vs), self.products(us, vs)):
+            table.setdefault(g, []).append(pair)
+        self._fact[key] = table
+        return table
 
 
 class ElementBall(CayleyBall):

@@ -10,7 +10,6 @@ JSON artifacts.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 from .harmonic import permissible_fact_sup, star_star_trials
@@ -61,23 +60,18 @@ def d2_scan(group: ArtinGroup, radius: int, pres_id="pres"):
     g2 in C_l, build S(g,k,l), decompose it and collect the statistics and
     any falsified-property events.
     """
-    ball = group.ball(radius)
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     m = group.pres.max_finite_label()
     kfac = 1 if m is INF else int(m) - 1  # the merger constant K
     rows = []
     events: list[str] = []
     for k in range(0, radius + 1):
         for l in range(0, radius - k + 1):
-            us, vs = ball.sphere(k), ball.sphere(l)
-            pairs = itertools.product(
-                [ball.element(i) for i in us], [ball.element(i) for i in vs]
-            )
-            buckets: dict[int, list] = {}
-            for pair, gi in zip(pairs, ball.products(us, vs)):
-                buckets.setdefault(gi, []).append(pair)
-            for gi in sorted(buckets):
+            ball = group.ball(k + l)  # the ball whose table build_s_t reads
+            for gi in sorted(ball.fact_table(k, l)):
                 g = ball.element(gi)
-                st = group.build_s_t(g, k, l, pairs=buckets[gi])
+                st = group.build_s_t(g, k, l)
                 if st.size == 0:
                     continue
                 dec = group.split_s(st, g, k, l)
@@ -144,7 +138,7 @@ def rd_check(group: ArtinGroup, radius: int, trials: int, seed: int, pres_id="pr
 # -- worked-example reproduction -----------------------------------------------------
 
 
-def repro_paper(allow_counterexample: bool = True) -> list[dict]:
+def repro_paper() -> list[dict]:
     """
     Re-run every hard-coded worked example (the 15-to-13 letter rightward
     reduction, the divisor counterexample, the dihedral tau pairs, the

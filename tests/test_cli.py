@@ -1,5 +1,6 @@
 """The command-line surface: outputs, JSON modes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -231,6 +232,24 @@ def test_d2_scan_command(tmp_path, capsys):
     assert header.startswith("presentation,g,k,l,S_size,T_size")
 
 
+# sha256 of d2.csv from `d2-scan --radius 4 --out`, measured when S(g,k,l)
+# was still built from the elements u^-1 g over the sphere C_k
+D2_RADIUS4_DIGEST = {
+    "triangle345": "f9da6c73a9719a308714e70c41b6d73ce6b5514bae63693d5dbac3f808bd5298",
+    "triangle444": "fa737d7f67fc15766185292ac859368e763552a09ea9aaf09882ccd6c4c257de",
+    "da4": "9431c6df31202caf5356dc8ed634beb4be6458f670ed4aca6f399bd82129e4ca",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(D2_RADIUS4_DIGEST))
+def test_d2_scan_artifact_digest(tmp_path, capsys, preset):
+    out = tmp_path / "d2"
+    code, _ = run(capsys, "--preset", preset, "--out", str(out), "d2-scan", "--radius", "4")
+    assert code == 0
+    digest = hashlib.sha256((out / "d2.csv").read_bytes()).hexdigest()
+    assert digest == D2_RADIUS4_DIGEST[preset]
+
+
 def test_presentation_file_argument(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text("n = 2\nmatrix =\n1 5\n5 1\n")
@@ -275,3 +294,16 @@ def test_ball_cache_swapped_cells(tmp_path, capsys, monkeypatch):
     code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "3")
     assert code == 2 and payload["type"] == "ValueError"
     assert "disagrees" in payload["error"]
+
+
+def test_ball_cache_wrongly_typed_words(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ARTINGEO_CACHE", str(tmp_path))
+    code, _ = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
+    assert code == 0
+    (path,) = tmp_path.glob("ball_*.json")
+    data = json.loads(path.read_text())
+    data["words"] = list(range(len(data["words"])))
+    path.write_text(json.dumps(data))
+    code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
+    assert code == 2 and payload["type"] == "ValueError"
+    assert "ball cache" in payload["error"]

@@ -9,7 +9,7 @@ from artingeo.largetype import (
     OnetailFailure,
     STResult,
 )
-from artingeo.words import parse_word, syllable_count
+from artingeo.words import inverse_word, parse_word, syllable_count
 
 from conftest import freely_reduced_words, merge_row, rename
 
@@ -277,6 +277,35 @@ def test_split_s_sweep_small(g444):
                 continue
             dec = g444.split_s(st, g, k, l)
             assert dec.events == [], (g, k, l, dec.events)
+
+
+def test_fact_table_matches_inversion_reference(g444):
+    # Fact_{k,l}(g) read off the ball equals, pair for pair, the table built
+    # by inverting each u in C_k and keeping u^-1 g when it has length l
+    R = 4
+    ball = g444.ball(R)
+    append = g444.engine.append
+
+    def cofactor(z, w, k):
+        """nf(z w) for z = nf(u^-1), or None once it cannot end within length R - k."""
+        for i, a in enumerate(w):
+            if len(z) - (len(w) - i) > R - k:
+                return None
+            z = append(z, a)
+        return z if len(z) <= R - k else None
+
+    for k in range(R + 1):
+        inverses = [(u, g444.nf(inverse_word(ball.words[u]))) for u in ball.sphere(k)]
+        cofactors = {
+            g: [(u, cofactor(z, ball.words[g], k)) for u, z in inverses]
+            for g in range(len(ball))
+        }
+        for l in range(R + 1 - k):
+            table = ball.fact_table(k, l)
+            assert set(table) <= set(range(len(ball)))
+            for g, pairs in cofactors.items():
+                want = [(u, ball.index[h]) for u, h in pairs if h is not None and len(h) == l]
+                assert table.get(g, []) == want, (g, k, l)
 
 
 def test_no_common_divisor_lemma(g345):

@@ -243,6 +243,13 @@ def test_ball_load_rejects_malformed_tables(tmp_path):
         "short row": {"adj": [good["adj"][0][:3]] + good["adj"][1:]},
         "id past the end": {"adj": [[N] + good["adj"][0][1:]] + good["adj"][1:]},
         "id below -1": {"adj": [[-2] + good["adj"][0][1:]] + good["adj"][1:]},
+        "int words": {"words": list(range(N))},
+        "str words": {"words": ["ab"] * N},
+        "int adj": {"adj": 5},
+        "adj of ints": {"adj": list(range(N))},
+        "str radius": {"radius": "3"},
+        "negative radius": {"radius": -1},
+        "bool radius": {"radius": True},
     }
     for patch in corruptions.values():
         path.write_text(json.dumps({**good, **patch}))
