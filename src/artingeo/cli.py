@@ -47,6 +47,15 @@ def _write_json(path: Path, payload):
         fh.write("\n")
 
 
+def _out_dir(args) -> Path | None:
+    """The --out directory, created if missing; None without --out."""
+    if not args.out:
+        return None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _emit(args, payload: dict, text_lines):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -121,9 +130,8 @@ def cmd_ball(group, args):
             payload["cache"] = {"file": str(path), "loaded": False}
         if oball.words != ball.words or oball.adj != ball.adj:
             raise ValueError("oracle ball disagrees with the engine enumeration")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
+    if out:
         _write_csv(
             out / "ball.csv",
             ["presentation", "k", "statistic", "value"],
@@ -217,9 +225,8 @@ def cmd_compress(group, args):
 
 def cmd_d1_scan(group, args):
     rows, summary = d1_scan(group, args.radius, tuple(args.min_kl), args.pres_id)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
+    if out:
         _write_csv(out / "d1.csv", ["presentation", "k", "l", "statistic", "value"], rows)
         _write_json(out / "d1_summary.json", summary)
     lines = [f"F_P({r[1]},{r[2]}) = {r[4]}" for r in rows]
@@ -229,9 +236,8 @@ def cmd_d1_scan(group, args):
 
 def cmd_d2_scan(group, args):
     rows, summary = d2_scan(group, args.radius, args.pres_id)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
+    if out:
         _write_csv(
             out / "d2.csv",
             [
@@ -250,9 +256,8 @@ def cmd_d2_scan(group, args):
 
 def cmd_rd_check(group, args):
     rows, summary = rd_check(group, args.radius, args.trials, args.seed, args.pres_id)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
+    if out:
         _write_csv(out / "rd.csv", ["presentation", "k", "l", "m", "max_ratio"], rows)
         _write_json(out / "rd_summary.json", summary)
     lines = [f"envelope by min(k,l): {summary['envelope_by_min_kl']}"]
@@ -269,9 +274,8 @@ def cmd_repro(args):
         for r in results:
             print(f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']}: {r['detail']}")
         print(f"{'all examples reproduced' if ok else 'SOME EXAMPLES FAILED'}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
+    if out:
         stable = [{k: v for k, v in r.items() if k != "seconds"} for r in results]
         _write_json(out / "repro.json", {"ok": ok, "results": stable})
     return 0 if ok else 1

@@ -30,9 +30,10 @@ chains of tau-moves in which consecutive moved subwords overlap in exactly
 one letter.  A rightward chain ends in a free cancellation and shortens the
 word; a leftward chain keeps the length and lowers the word
 lexicographically.  This module implements the classification and the
-moves, and one iterative depth-first walker, `critical_chains`, over every
-chain in either direction; the rightward, leftward and letter-change
-searches are short loops over its states.  The shortlex engine and the
+moves, one span scanner, `critical_spans_at`, and one iterative depth-first
+walker, `critical_chains`, over every chain in either direction; the
+rightward, leftward and letter-change searches are short loops over its
+states.  The shortlex engine and the
 brute-force oracle are both built on top of it.
 """
 
@@ -202,58 +203,50 @@ def classify_critical(w: Word, m: Optional[int]) -> Optional[CriticalWord]:
     return CriticalWord(w, form, m, pair, m, 0, x, y, z, t, xi, "end")
 
 
+def _swap_image(positive_first, x, y, z, t, xi, p, n, m, pair) -> Word:
+    """
+    The block swap behind tau on unsigned words and the length-reducing
+    moves: alt_p(x,y) xi alt_n(-t,..) -> alt_{m-p}(-y,..) d(xi) alt_{m-n}(..,z)
+    and its mirror alt_n(-x,..) xi alt_p(..,t) -> alt_{m-n}(y,..) d(xi)
+    alt_{m-p}(..,-z).  At p + n = m this is tau (m - p = n, m - n = p).
+    """
+    dxi = delta_word(xi, pair, m)
+    if positive_first:
+        return alt_starting(-y, -x, m - p) + dxi + alt_ending(z, t, m - n)
+    return alt_starting(y, x, m - n) + dxi + alt_ending(-z, -t, m - p)
+
+
 def tau(c: CriticalWord) -> Word:
     """The tau image of a critical word; an involution, element preserving."""
-    m, pair = c.m, c.pair
-    dx = lambda w: delta_word(w, pair, m)
+    m = c.m
     if c.form == "unsigned":
-        if c.word[0] > 0:
-            # alt_p(x,y) xi alt_n(-t,..)  ->  alt_n(-y,..) d(xi) alt_p(..,z)
-            return (
-                alt_starting(-c.y, -c.x, c.n) + dx(c.xi) + alt_ending(c.z, c.t, c.p)
-            )
-        # mirror: alt_n(-x,..) xi alt_p(..,t)  ->  alt_p(y,..) d(xi) alt_n(..,-z)
-        return alt_starting(c.y, c.x, c.p) + dx(c.xi) + alt_ending(-c.z, -c.t, c.n)
+        return _swap_image(c.word[0] > 0, c.x, c.y, c.z, c.t, c.xi, c.p, c.n, m, c.pair)
 
     sgn = 1 if c.form == "positive" else -1
     if c.block_at == "whole":
         return alt_starting(sgn * c.y, sgn * c.x, m)
     if c.block_at == "start":
         # alt_m(x,y) xi -> d(xi) alt_m(..,t) with z the name of xi's last letter
-        return dx(c.xi) + alt_ending(sgn * c.t, sgn * c.z, m)
+        return delta_word(c.xi, c.pair, m) + alt_ending(sgn * c.t, sgn * c.z, m)
     # xi alt_m(z,t) -> alt_m(x,y) d(xi)
-    return alt_starting(sgn * c.x, sgn * c.y, m) + dx(c.xi)
+    return alt_starting(sgn * c.x, sgn * c.y, m) + delta_word(c.xi, c.pair, m)
 
 
 def critical_spans(w: Word, label: LabelFn) -> Iterator[tuple[int, int, CriticalWord]]:
     """All (start, end, classification) of critical subwords of w."""
     for s in range(len(w)):
-        yield from critical_spans_from(w, s, label)
+        yield from critical_spans_at(w, s, label, True)
 
 
-def critical_spans_from(
-    w: Word, s: int, label: LabelFn
+def critical_spans_at(
+    w: Word, pos: int, label: LabelFn, rightward: bool
 ) -> Iterator[tuple[int, int, CriticalWord]]:
-    """Critical subwords starting exactly at index s."""
-    L = len(w)
-    for e in range(s + 3, L + 1):
-        sub = w[s:e]
-        nm = names(sub)
-        if len(nm) != 2:
-            if len(nm) > 2:
-                break
-            continue
-        n1, n2 = sorted(nm)
-        c = classify_critical(sub, label(n1, n2))
-        if c is not None:
-            yield s, e, c
-
-
-def critical_spans_ending(
-    w: Word, e: int, label: LabelFn
-) -> Iterator[tuple[int, int, CriticalWord]]:
-    """Critical subwords ending exactly at index e (exclusive)."""
-    for s in range(e - 3, -1, -1):
+    """
+    Critical subwords starting at index pos by increasing end (rightward),
+    or ending at index pos, exclusive, by decreasing start (leftward).
+    """
+    for other in range(pos + 3, len(w) + 1) if rightward else range(pos - 3, -1, -1):
+        s, e = (pos, other) if rightward else (other, pos)
         sub = w[s:e]
         nm = names(sub)
         if len(nm) != 2:
@@ -287,21 +280,6 @@ class OverCriticalMove:
     image: Word
 
 
-def _overcritical_image(sub: Word, p: int, n: int, m: int, pair) -> Word:
-    """Image of the two displayed length-reducing rules on sub = B1 xi B2."""
-    xi = sub[p if sub[0] > 0 else n : len(sub) - (n if sub[0] > 0 else p)]
-    dxi = delta_word(xi, pair, m)
-    if sub[0] > 0:
-        x, t = name(sub[0]), name(sub[-1])
-        y = pair[0] if x == pair[1] else pair[1]
-        z = pair[0] if t == pair[1] else pair[1]
-        return alt_starting(-y, -x, m - p) + dxi + alt_ending(z, t, m - n)
-    x, t = name(sub[0]), name(sub[-1])
-    y = pair[0] if x == pair[1] else pair[1]
-    z = pair[0] if t == pair[1] else pair[1]
-    return alt_starting(y, x, m - n) + dxi + alt_ending(-z, -t, m - p)
-
-
 def locate_overcritical(w: Word, s: int, e: int, m: int) -> OverCriticalMove:
     """
     Validate that w[s:e] is an over-critical occurrence in w and build its
@@ -330,7 +308,10 @@ def locate_overcritical(w: Word, s: int, e: int, m: int) -> OverCriticalMove:
         if (e - b2, e) not in host_runs:
             raise ValueError("final block is not maximal in the host word")
     kind = "positive" if p == m else ("negative" if n == m else "unsigned")
-    image = _overcritical_image(sub, p, n, m, pair)
+    x, t = name(sub[0]), name(sub[-1])
+    y = pair[0] if x == pair[1] else pair[1]
+    z = pair[0] if t == pair[1] else pair[1]
+    image = _swap_image(sub[0] > 0, x, y, z, t, sub[b1 : len(sub) - b2], p, n, m, pair)
     return OverCriticalMove(s, e, p, n, kind, image)
 
 
@@ -396,25 +377,6 @@ def reduce_2gen(w: Word, m: Optional[int]) -> tuple[Word, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalSequence:
-    """
-    A chain of tau-moves in which consecutive moved subwords overlap in
-    exactly one letter.  A rightward length-reducing sequence finishes with
-    a single free cancellation; a leftward lex-reducing one keeps the length.
-    """
-
-    direction: str  # 'rightward' | 'leftward'
-    moves: tuple[tuple[int, int], ...]  # spans of the moved subwords, in order
-    free_cancellation: bool
-
-    def overlaps_in_single_letters(self) -> bool:
-        pairs = zip(self.moves, self.moves[1:])
-        if self.direction == "rightward":
-            return all(nxt[0] == cur[1] - 1 for cur, nxt in pairs)
-        return all(nxt[1] == cur[0] + 1 for cur, nxt in pairs)
-
-
 def _image_cancels(word: Word, span: tuple[int, int]) -> bool:
     """Whether the tau image at span cancels a neighbour; images are reduced, so only ends can."""
     s, e = span
@@ -433,7 +395,6 @@ def critical_chains(
     its chain, and a (word, overlap) state is continued only the first time
     it is reached.
     """
-    follow = critical_spans_from if rightward else critical_spans_ending
     seen: set[tuple[Word, int]] = set()
     stack = [(w, (), critical_spans(w, label))]
     while stack:
@@ -445,26 +406,22 @@ def critical_chains(
             pos = e - 1 if rightward else s + 1
             if not _image_cancels(nxt, (s, e)) and (nxt, pos) not in seen:
                 seen.add((nxt, pos))
-                stack.append((nxt, trail, follow(nxt, pos, label)))
+                stack.append((nxt, trail, critical_spans_at(nxt, pos, label, rightward)))
                 break
         else:
             stack.pop()
 
 
-def rightward_length_reduction(
-    w: Word, label: LabelFn, with_trace: bool = False
-) -> Optional[Word] | Optional[tuple[Word, CriticalSequence]]:
+def rightward_length_reduction(w: Word, label: LabelFn) -> Optional[Word]:
     """
     Search for a rightward length-reducing sequence on the freely reduced
     word w: tau-moves chained so that each subsequent critical subword starts
     at the last letter of the previous image, finished by a free cancellation.
-    Returns the freely reduced result (2 letters shorter), or None; with
-    with_trace=True the applied sequence is returned alongside.
+    Returns the freely reduced result (2 letters shorter), or None.
     """
     for word, moves in critical_chains(w, label, rightward=True):
         if _image_cancels(word, moves[-1]):
-            red = free_reduce(word)
-            return (red, CriticalSequence("rightward", moves, True)) if with_trace else red
+            return free_reduce(word)
     return None
 
 

@@ -98,18 +98,11 @@ class DihedralContext:
         if self.m is INF:
             raise ValueError("operation requires a finite dihedral label")
 
-    def delta_power_word(self, r: int) -> Word:
-        self._require_finite()
-        base = alt_starting(*self.pair, self.m)
-        if r >= 0:
-            return base * r
-        return inverse_word(base) * (-r)
-
-    def _delta_tail(self, r: int, prev: int | None) -> Word:
+    def delta_power_word(self, r: int, prev: int | None = None) -> Word:
         """
-        Delta^r as a word that does not cancel against a preceding letter:
-        of the two spellings alt_m(x_i,x_j) and alt_m(x_j,x_i), pick one whose
-        first letter is not the inverse of `prev`.
+        Delta^r as a word, spelled from alt_m(x_i, x_j) unless its first
+        letter would cancel against a preceding letter `prev`; then from
+        alt_m(x_j, x_i).
         """
         self._require_finite()
         i, j = self.pair
@@ -122,12 +115,6 @@ class DihedralContext:
 
     def delta_elem(self, r: int = 1) -> GroupElement:
         return self.element(self.delta_power_word(r))
-
-    def delta_letter(self, a: int) -> int:
-        self._require_finite()
-        from .critical import delta_letter as _dl
-
-        return _dl(a, self.pair, self.m)
 
     def delta_word(self, w: Word, power: int = 1) -> Word:
         self._require_finite()
@@ -188,15 +175,7 @@ class DihedralContext:
         if sign == "unsigned":
             raise ValueError("d(g) is defined for signed elements only")
         eps = 1 if sign == "positive" else -1
-        inv_delta = self.delta_elem(-eps)
-        d = 0
-        cur = g
-        while True:
-            nxt = inv_delta * cur
-            if len(nxt) != len(cur) - self.m:
-                break
-            cur = nxt
-            d += 1
+        d = self.engine.strip_power(g, self.delta_elem(-eps), left=True)
         self._d[g.word] = d
         return d
 
@@ -325,14 +304,14 @@ class DihedralContext:
 
         mid = self.delta_word(v4, r_prime - s) if (r_prime - s) % 2 else v4
         head4 = u4 + mid
-        word = head4 + self._delta_tail(s, head4[-1] if head4 else None)
+        word = head4 + self.delta_power_word(s, head4[-1] if head4 else None)
         if not self.is_geodesic(word):
             raise CompressionShapeError("compressed word is not geodesic")
         if len(u4) > (m - 1) ** 2 * (len(f1) + m - 1):
             raise CompressionShapeError("u4 exceeds its length bound")
         head = self.element(u4 + mid)
         for eps in (1, -1):
-            if len(self.delta_elem(-eps) * head) == len(head) - m:
+            if self.engine.strip_power(head, self.delta_elem(-eps), left=True):
                 raise CompressionShapeError("u4 delta(v4) has a Garside divisor")
         return CompressionResult(
             word,
@@ -391,7 +370,7 @@ class DihedralContext:
                 break
             s, e = opp[-1]
             blk = min(m, e - s)
-            wfull = part + self._delta_tail(eps, part[-1] if part else None)
+            wfull = part + self.delta_power_word(eps, part[-1] if part else None)
             mv = locate_overcritical(wfull, e - blk, len(wfull), m)
             part = free_reduce(wfull[: e - blk] + mv.image)
             r -= eps

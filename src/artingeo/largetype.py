@@ -60,6 +60,14 @@ from .shortlex import ElementBall, GroupElement, ShortlexEngine
 from .words import Word, syllable_count
 
 
+def _pair_prefix(w: Word, i: int, j: int) -> Word:
+    """The maximal prefix of w spelled in the letters of names i and j."""
+    cut = 0
+    while cut < len(w) and abs(w[cut]) in (i, j):
+        cut += 1
+    return w[:cut]
+
+
 class HypothesisError(ValueError):
     """The operation needs the no-(3,3,m)-triangle hypothesis."""
 
@@ -192,9 +200,6 @@ class ArtinGroup:
             ctx = self._dihedral[pair] = DihedralContext(self.engine, *pair)
         return ctx
 
-    def delta_ij(self, i: int, j: int, r: int = 1) -> GroupElement:
-        return self.dihedral_ctx(i, j).delta_elem(r)
-
     # -- divisors ----------------------------------------------------------------
 
     def ld(self, g: GroupElement, i: int, j: int) -> GroupElement:
@@ -205,12 +210,7 @@ class ArtinGroup:
             i, j = j, i
         if i < 1 or j > self.pres.n:
             raise ValueError(f"generator {i if i < 1 else j} is not one of 1..{self.pres.n}")
-        reord = self.engine.reordered(i, j)
-        w = reord.nf(g.word)
-        cut = 0
-        while cut < len(w) and abs(w[cut]) in (i, j):
-            cut += 1
-        return self.element(w[:cut])
+        return self.element(_pair_prefix(self.engine.reordered(i, j).nf(g.word), i, j))
 
     def rd(self, g: GroupElement, i: int, j: int) -> GroupElement:
         return self.ld(g.inv(), i, j).inv()
@@ -234,11 +234,7 @@ class ArtinGroup:
         letters: set[int] = set()
         witnesses: dict[int, Word] = {}
         for w in reps:
-            cut = 0
-            while cut < len(w) and abs(w[cut]) in (i, j):
-                cut += 1
-            u = self.element(w[:cut])
-            rest = u.inv() * ld
+            rest = self.element(_pair_prefix(w, i, j)).inv() * ld
             if len(rest) == 0:
                 continue
             a = rest.word[0]
@@ -257,17 +253,8 @@ class ArtinGroup:
                 witnesses,
             )
         (a,) = letters
-        return ld * self.element((-a,) * self._strip_power(ld, -a)), 2, a
-
-    def _strip_power(self, g: GroupElement, a: int, left: bool = False) -> int:
-        """Largest s with |g a^s| = |g| - s, or |a^s g| = |g| - s when left."""
-        x = self.element((a,))
-        s = 0
-        while True:
-            nxt = x * g if left else g * x
-            if len(nxt) != len(g) - 1:
-                return s
-            g, s = nxt, s + 1
+        s = self.engine.strip_power(ld, self.element((-a,)))
+        return ld * self.element((-a,) * s), 2, a
 
     # -- permissibility ------------------------------------------------------------
 
@@ -299,9 +286,6 @@ class ArtinGroup:
         return self.permissible(g * f.inv(), f)
 
     # -- merging ----------------------------------------------------------------------
-
-    def _pair_preference(self) -> list[tuple[int, int]]:
-        return list(self.pres.finite_pairs())
 
     def _right_divisors(self, f: GroupElement, length: int, pair):
         """Length-`length` right divisors of f, inside G(pair) unless pair is None."""
@@ -343,12 +327,12 @@ class ArtinGroup:
                 hp = self._delta_conj_in_pair(h.inv(), pair, r)
                 if self._strip_ok(g1, g2, f1, f2, h, hp):
                     return ("cancel", h, hp, r, pair)
-        pairs = [p for p in self._pair_preference() if pair is None or p == pair]
+        pairs = [p for p in self.pres.finite_pairs() if pair is None or p == pair]
         # (ii) double Delta, both sides signed
         if f1.sign != "unsigned" and f2.sign != "unsigned":
             for i, j in pairs:
                 for eps in (1, -1):
-                    h = self.delta_ij(i, j, eps)
+                    h = self.dihedral_ctx(i, j).delta_elem(eps)
                     if self._strip_ok(g1, g2, f1, f2, h, h):
                         return ("double-delta", h, h, r + 2 * eps, (i, j))
         # (iii) Delta extraction
@@ -356,7 +340,7 @@ class ArtinGroup:
             for j_len in range(len(f1), 0, -1):
                 for h in self._right_divisors(f1, j_len, (i, j)):
                     for eps in (1, -1):
-                        hp = h.inv() * self.delta_ij(i, j, eps)
+                        hp = h.inv() * self.dihedral_ctx(i, j).delta_elem(eps)
                         hp = self._delta_conj_in_pair(hp, (i, j), r)
                         if len(hp) == 0:
                             continue
@@ -386,7 +370,7 @@ class ArtinGroup:
     def middle_of(self, t: MergerTriple) -> GroupElement:
         if t.r == 0:
             return self.identity
-        return self.delta_ij(t.pair[0], t.pair[1], t.r)
+        return self.dihedral_ctx(*t.pair).delta_elem(t.r)
 
     # -- S(g, k, l) and T(k, l) ---------------------------------------------------------
 
@@ -534,10 +518,10 @@ class ArtinGroup:
         for c in self.engine.letters():
             if abs(c) in (i, j):
                 continue
-            q = self._strip_power(A, -c)
+            q = self.engine.strip_power(A, self.element((-c,)))
             if q == 0:
                 continue
-            q = min(q, self._strip_power(B, c, left=True))
+            q = min(q, self.engine.strip_power(B, self.element((c,)), left=True))
             if q == 0:
                 continue
             if best is None or q > best[1] or (q == best[1] and c < best[0]):

@@ -188,6 +188,20 @@ class ShortlexEngine:
     def letters(self) -> LetterOrder:
         return default_order(self.pres.n)
 
+    def strip_power(self, g: GroupElement, x: GroupElement, left: bool = False) -> int:
+        """
+        Largest s with |g x^s| = |g| - s|x|, or |x^s g| = |g| - s|x| when
+        left: the top power of x^-1 dividing g on that side.
+        """
+        if not x.word:
+            raise ValueError("strip_power needs a nontrivial element")
+        s = 0
+        while True:
+            nxt = x * g if left else g * x
+            if len(nxt) != len(g) - len(x):
+                return s
+            g, s = nxt, s + 1
+
     # -- geodesic representatives ------------------------------------------
 
     def geodesic_words(self, g: GroupElement) -> frozenset[Word]:

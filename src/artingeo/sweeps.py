@@ -28,6 +28,8 @@ def d1_scan(group: ArtinGroup, radius: int, min_values=(1, 2, 3), pres_id="pres"
     requested set (the k > l values follow by symmetry of the definition).
     Returns (csv_rows, summary).
     """
+    if not min_values:
+        raise ValueError("no min(k, l) values given")
     if any(k < 1 for k in min_values):
         raise ValueError(f"min(k, l) values must be >= 1, got {sorted(min_values)}")
     ball = group.ball(radius)

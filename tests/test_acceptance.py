@@ -209,7 +209,7 @@ def _ambient_garside_power(group, g, i, j):
     if len(g) == 0 or g.sign == "unsigned":
         return 0
     eps = 1 if g.sign == "positive" else -1
-    inv_delta = group.delta_ij(i, j, -eps)
+    inv_delta = group.dihedral_ctx(i, j).delta_elem(-eps)
     d, cur = 0, g
     while True:
         nxt = inv_delta * cur

@@ -109,10 +109,11 @@ def test_error_json(capsys):
         ["rd-check", "--radius", "2", "--trials", "-2"],
         ["divisors", "ab", "1", "5"],
         ["d1-scan", "--min-kl", "-1"],
+        ["d1-scan", "--min-kl"],
     ],
     ids=[
         "ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors",
-        "d1-scan-min-kl",
+        "d1-scan-min-kl", "d1-scan-min-kl-empty",
     ],
 )
 def test_out_of_range_input(capsys, argv):
@@ -232,22 +233,46 @@ def test_d2_scan_command(tmp_path, capsys):
     assert header.startswith("presentation,g,k,l,S_size,T_size")
 
 
-# sha256 of d2.csv from `d2-scan --radius 4 --out`, measured when S(g,k,l)
-# was still built from the elements u^-1 g over the sphere C_k
-D2_RADIUS4_DIGEST = {
-    "triangle345": "f9da6c73a9719a308714e70c41b6d73ce6b5514bae63693d5dbac3f808bd5298",
-    "triangle444": "fa737d7f67fc15766185292ac859368e763552a09ea9aaf09882ccd6c4c257de",
-    "da4": "9431c6df31202caf5356dc8ed634beb4be6458f670ed4aca6f399bd82129e4ca",
+# sha256 of the --out artifacts of `d2-scan --radius 4` (d2.csv, measured
+# when S(g,k,l) was still built from the elements u^-1 g over the sphere C_k)
+# and `d1-scan --radius 5` (measured before the Garside power d(g) and the
+# letter-power strips shared ShortlexEngine.strip_power)
+SCAN_DIGESTS = {
+    ("d2-scan", "triangle345"): {
+        "d2.csv": "f9da6c73a9719a308714e70c41b6d73ce6b5514bae63693d5dbac3f808bd5298",
+    },
+    ("d2-scan", "triangle444"): {
+        "d2.csv": "fa737d7f67fc15766185292ac859368e763552a09ea9aaf09882ccd6c4c257de",
+    },
+    ("d2-scan", "da4"): {
+        "d2.csv": "9431c6df31202caf5356dc8ed634beb4be6458f670ed4aca6f399bd82129e4ca",
+    },
+    ("d1-scan", "triangle444"): {
+        "d1.csv": "f587488cae1035e4d641b21401cd02eb35f3151ab372a2bc5ebfa3c1a5acca47",
+        "d1_summary.json": "9e8c64d3be54d504c8551133a57f44bac30d617e880207e2912b70f94b48798f",
+    },
+    ("d1-scan", "triangle345"): {
+        "d1.csv": "afc26d1206dd6c562403e221ceba7a51a80fd16658c55374ad8c50e341d5c3c7",
+        "d1_summary.json": "ec5683411aac89d70389cfb9e4e7467d5cc0533bcf6278b5941547d8ae43fe2b",
+    },
 }
+SCAN_RADIUS = {"d2-scan": "4", "d1-scan": "5"}
 
 
-@pytest.mark.parametrize("preset", sorted(D2_RADIUS4_DIGEST))
-def test_d2_scan_artifact_digest(tmp_path, capsys, preset):
-    out = tmp_path / "d2"
-    code, _ = run(capsys, "--preset", preset, "--out", str(out), "d2-scan", "--radius", "4")
+# the d2-scan cases keep their bare preset ids
+@pytest.mark.parametrize(
+    "command, preset",
+    list(SCAN_DIGESTS),
+    ids=[p if c == "d2-scan" else f"{c}-{p}" for c, p in SCAN_DIGESTS],
+)
+def test_d2_scan_artifact_digest(tmp_path, capsys, command, preset):
+    out = tmp_path / "scan"
+    code, _ = run(
+        capsys, "--preset", preset, "--out", str(out), command, "--radius", SCAN_RADIUS[command]
+    )
     assert code == 0
-    digest = hashlib.sha256((out / "d2.csv").read_bytes()).hexdigest()
-    assert digest == D2_RADIUS4_DIGEST[preset]
+    for fname, digest in SCAN_DIGESTS[(command, preset)].items():
+        assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname
 
 
 def test_presentation_file_argument(tmp_path, capsys):

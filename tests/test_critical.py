@@ -3,10 +3,10 @@
 import pytest
 
 from artingeo.critical import (
-    CriticalSequence,
     classify_critical,
     critical_chains,
     critical_spans,
+    critical_spans_at,
     delta_letter,
     delta_word,
     find_length_reducing_move,
@@ -20,11 +20,28 @@ from artingeo.critical import (
     tau_closure,
 )
 from artingeo.presentation import CoxeterPresentation
-from artingeo.words import format_word, free_reduce, parse_word
+from artingeo.words import format_word, free_reduce, is_freely_reduced, names, parse_word
 
 from conftest import freely_reduced_words
 
 W = parse_word
+
+
+def overlaps_in_single_letters(moves, rightward):
+    """Consecutive moved spans share one letter: the last (rightward) or first (leftward)."""
+    pairs = zip(moves, moves[1:])
+    if rightward:
+        return all(nxt[0] == cur[1] - 1 for cur, nxt in pairs)
+    return all(nxt[1] == cur[0] + 1 for cur, nxt in pairs)
+
+
+def first_cancelling_chain(w, label):
+    """(word, moves) at the first rightward chain state that is not freely reduced."""
+    return next(
+        (word, moves)
+        for word, moves in critical_chains(w, label, rightward=True)
+        if not is_freely_reduced(word)
+    )
 
 
 def tau_of(text, m):
@@ -196,14 +213,11 @@ def test_critical_spans_enumeration():
 def test_rightward_sequence_trace():
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
     label = pair_label_fn(pres)
-    out = rightward_length_reduction(W("aBBAcbbCBacaacA"), label, with_trace=True)
-    assert out is not None
-    word, seq = out
-    assert word == W("BAACBccbaccac")
-    assert isinstance(seq, CriticalSequence)
-    assert seq.direction == "rightward" and seq.free_cancellation
-    assert len(seq.moves) >= 1
-    assert seq.overlaps_in_single_letters()
+    w = W("aBBAcbbCBacaacA")
+    word, moves = first_cancelling_chain(w, label)
+    assert free_reduce(word) == rightward_length_reduction(w, label) == W("BAACBccbaccac")
+    assert len(moves) >= 1
+    assert overlaps_in_single_letters(moves, rightward=True)
 
 
 def test_long_rightward_chain_is_iterative():
@@ -211,22 +225,64 @@ def test_long_rightward_chain_is_iterative():
     # recursion limit, so only an iterative walker gets through it
     label = pair_label_fn(CoxeterPresentation.dihedral(3))
     w = W("a" * 1500 + "baab" * 750 + "A")
-    word, seq = rightward_length_reduction(w, label, with_trace=True)
-    assert len(word) == len(w) - 2 == 4499
-    assert len(seq.moves) == 1500
-    assert seq.overlaps_in_single_letters()
+    word, moves = first_cancelling_chain(w, label)
+    assert len(free_reduce(word)) == len(w) - 2 == 4499
+    assert len(moves) == 1500
+    assert overlaps_in_single_letters(moves, rightward=True)
 
 
 @pytest.mark.parametrize("rightward", [True, False])
 def test_critical_chains_overlap_in_one_letter(rightward):
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
     label = pair_label_fn(pres)
-    direction = "rightward" if rightward else "leftward"
     states = list(critical_chains(W("aBBAcbbCBacaacA"), label, rightward))
     assert any(len(moves) > 1 for _, moves in states)
     for word, moves in states:
         assert len(word) == 15
-        assert CriticalSequence(direction, moves, False).overlaps_in_single_letters()
+        assert overlaps_in_single_letters(moves, rightward)
+
+
+def pair_heavy_word(rng, pres, length):
+    """A freely reduced word of stretches over one pair of names, so critical subwords abound."""
+    w = []
+    pairs = list(pres.pairs())
+    while len(w) < length:
+        i, j = rng.choice(pairs)
+        for _ in range(rng.randint(2, 8)):
+            a = rng.choice((i, -i, j, -j))
+            if not w or a != -w[-1]:
+                w.append(a)
+    return tuple(w[:length])
+
+
+@pytest.mark.parametrize("preset", ["triangle345", "triangle444", "counterexample433"])
+def test_span_scanner_matches_brute_force(preset):
+    # at every position, each direction yields exactly the spans starting
+    # (rightward) or ending (leftward) there that classify_critical accepts,
+    # by increasing end or decreasing start respectively
+    import random
+
+    from artingeo.presets import load_preset
+
+    pres = load_preset(preset)
+    label = pair_label_fn(pres)
+
+    def accepted(w, s, e):
+        nm = sorted(names(w[s:e]))
+        c = classify_critical(w[s:e], label(*nm)) if len(nm) == 2 else None
+        return [] if c is None else [(s, e, c)]
+
+    rng = random.Random(preset)
+    found = 0
+    for _ in range(12):
+        w = pair_heavy_word(rng, pres, rng.randint(20, 40))
+        for pos in range(len(w) + 1):
+            right = [x for e in range(pos + 1, len(w) + 1) for x in accepted(w, pos, e)]
+            left = [x for s in range(pos - 1, -1, -1) for x in accepted(w, s, pos)]
+            assert list(critical_spans_at(w, pos, label, True)) == right, (w, pos)
+            assert list(critical_spans_at(w, pos, label, False)) == left, (w, pos)
+            found += len(right)
+    assert found > 50  # the words must actually contain critical subwords
 
 
 def test_engine_rejects_out_of_range_letters():

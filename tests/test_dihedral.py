@@ -60,16 +60,16 @@ def test_delta_conjugation_against_oracle(da3, da4, stash):
         inv = ctx.delta_power_word(-1)
         for a in (1, -1, 2, -2):
             conj = delta + (a,) + inv
-            assert oracle.equal(conj, (ctx.delta_letter(a),)), (m, a)
-            assert ctx.delta_letter(ctx.delta_letter(a)) == a
+            assert oracle.equal(conj, ctx.delta_word((a,))), (m, a)
+            assert ctx.delta_word(ctx.delta_word((a,))) == (a,)
     # odd label swaps the names, even label fixes them
-    assert da3.delta_letter(1) == 2
-    assert da4.delta_letter(1) == 1
+    assert da3.delta_word((1,)) == (2,)
+    assert da4.delta_word((1,)) == (1,)
 
 
 def test_delta_errors(da3, free):
     with pytest.raises(ValueError):
-        free.delta_letter(1)
+        free.delta_word((1,))
     with pytest.raises(ValueError):
         da3.delta_word(W("ac"))
 
@@ -118,6 +118,45 @@ def test_garside_power(da3, free):
         da3.garside_power(da3.element("aB"))
     with pytest.raises(ValueError):
         free.garside_power(free.element("a"))
+
+
+def test_delta_power_word_avoids_cancellation(da3):
+    assert da3.delta_power_word(2) == W("abaaba")
+    assert da3.delta_power_word(1, -2) == W("aba")
+    assert da3.delta_power_word(1, -1) == W("bab")
+    assert da3.delta_power_word(-1, 1) == W("BAB")
+    assert da3.delta_power_word(0, 1) == ()
+
+
+@pytest.mark.parametrize("name, radius", [("da3", 5), ("da4", 5), ("triangle345", 4)])
+def test_strip_power_matches_oracle_divisors(stash, name, radius):
+    # strip_power(g, a) is the top power s with a^-s a right divisor of g
+    # (a left divisor when left=True), and d(g) the top power k with
+    # Delta^{+-k} a left divisor of the signed element g
+    group = stash.group(name)
+    engine = group.engine
+    ball = stash.oracle_ball(name, radius)
+
+    def top(divisors, word, length):
+        s = 0
+        while (s + 1) * len(word) <= length and ball.id_of(word * (s + 1)) in divisors:
+            s += 1
+        return s
+
+    ctx = group.dihedral_ctx(1, 2) if group.pres.is_dihedral() else None
+    for idx, word in enumerate(ball.words):
+        g = group.element(word)
+        right, left = ball.right_divisors(idx), ball.left_divisors(idx)
+        for a in engine.letters():
+            x = group.element((a,))
+            assert engine.strip_power(g, x) == top(right, (-a,), len(g)), (word, a)
+            assert engine.strip_power(g, x, left=True) == top(left, (-a,), len(g)), (word, a)
+        if ctx is not None and g.sign != "unsigned":
+            eps = 1 if g.sign == "positive" else -1
+            delta = ctx.delta_power_word(eps)
+            assert ctx.garside_power(g) == top(left, delta, len(g)), word
+    with pytest.raises(ValueError):
+        engine.strip_power(group.element("a"), group.identity)
 
 
 def test_permissible_examples(da3, free):
@@ -227,7 +266,7 @@ def test_merge_examples(da3, stash):
     # (ab, ab): a Delta is extracted; the triple satisfies every merger law
     t = G.merge(ab, ab)
     assert t.r == 1
-    assert t.h1 * t.h2 == G.delta_ij(1, 2, 1)
+    assert t.h1 * t.h2 == G.dihedral_ctx(1, 2).delta_elem(1)
     assert t.f1 * G.middle_of(t) * t.f2 == ab * ab
     da = lambda g: da3.element(g.word)
     assert da3.permissible(da(t.f1), da(t.h1))[0]
