@@ -13,8 +13,10 @@ Command-line surface.
     artingeo repro-paper
 
 Every subcommand accepts --json for a machine-readable report.  Precondition
-failures exit with status 2 and print a JSON error object.  Artifacts written
-with --out are byte-reproducible for a fixed configuration and seed.
+failures exit with status 2 and print a JSON error object.  Only ball,
+d1-scan, d2-scan, rd-check and repro-paper write artifacts; --out with any
+other subcommand is an error.  Artifacts written with --out are
+byte-reproducible for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .sweeps import d1_scan, d2_scan, rd_check, repro_paper
 from .words import format_word, parse_word
 
 CACHE_ENV = "ARTINGEO_CACHE"
+OUT_COMMANDS = ("ball", "d1-scan", "d2-scan", "rd-check", "repro-paper")
 
 
 def _write_csv(path: Path, header, rows):
@@ -331,6 +334,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.out and args.command not in OUT_COMMANDS:
+            raise ValueError(
+                f"{args.command} writes no artifacts; --out is accepted by {', '.join(OUT_COMMANDS)}"
+            )
         if args.command == "repro-paper":
             return cmd_repro(args)
         args.pres_id, pres = resolve_presentation(args.presentation)

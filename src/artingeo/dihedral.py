@@ -46,6 +46,7 @@ from .words import (
     free_reduce,
     inverse_word,
     is_freely_reduced,
+    names,
     runs,
     sign_class,
     syllable_count,
@@ -79,6 +80,7 @@ class DihedralContext:
         self.engine = engine
         self.pair = (i, j)
         self._d: dict[Word, int] = {}
+        self._delta: dict[int, GroupElement] = {}
         self._two_syll: dict[Word, bool] = {}
         self._perm: dict[tuple[Word, Word], tuple[bool, str]] = {}
 
@@ -114,7 +116,11 @@ class DihedralContext:
         raise AssertionError("unreachable: both Garside spellings cancel")
 
     def delta_elem(self, r: int = 1) -> GroupElement:
-        return self.element(self.delta_power_word(r))
+        """Delta^r as an element, built once per power."""
+        hit = self._delta.get(r)
+        if hit is None:
+            hit = self._delta[r] = self.element(self.delta_power_word(r))
+        return hit
 
     def delta_word(self, w: Word, power: int = 1) -> Word:
         self._require_finite()
@@ -148,12 +154,6 @@ class DihedralContext:
         if c is None:
             raise ValueError(f"word {w} is not critical for m = {self.m}")
         return tau(c)
-
-    def apply_length_reducing_tau(self, w: Word, start: int, end: int) -> Word:
-        """Apply the length-reducing move at the over-critical span [start, end)."""
-        self._require_finite()
-        mv = locate_overcritical(w, start, end, self.m)
-        return free_reduce(w[:start] + mv.image + w[end:])
 
     def reduce(self, w: Word) -> tuple[Word, list[dict]]:
         """Reduce to a geodesic spelling; the log lists every move applied."""
@@ -210,15 +210,12 @@ class DihedralContext:
             return True, "P2"
         return False, "delta-decreasing"
 
-    def left_divisor_permissible(self, g: GroupElement, f: GroupElement) -> bool:
-        """f in P_l(g), i.e. (f, f^-1 g) in P(g)."""
-        return self.permissible(f, f.inv() * g)[0]
-
     # -- divisor enumeration ---------------------------------------------------
 
     def right_divisor_words(self, g: GroupElement, j: int) -> tuple[Word, ...]:
-        """Normal forms of the length-j right divisors of g, shortlex sorted."""
-        return self.engine.right_divisor_words(g, j)
+        """Normal forms of the length-j right divisors of g inside G(i,j), shortlex sorted."""
+        pair = set(self.pair)
+        return tuple(w for w in self.engine.right_divisor_words(g, j) if names(w) <= pair)
 
     # -- compression ---------------------------------------------------------------
 

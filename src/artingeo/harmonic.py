@@ -80,12 +80,6 @@ class GroupFunction:
     def scale(self, c) -> "GroupFunction":
         return GroupFunction(self.group, {w: c * v for w, v in self.coeffs.items()})
 
-    def __add__(self, other: "GroupFunction") -> "GroupFunction":
-        out = dict(self.coeffs)
-        for w, v in other.coeffs.items():
-            out[w] = out.get(w, 0) + v
-        return GroupFunction(self.group, out)
-
     # -- norms -------------------------------------------------------------------
 
     def l2_norm(self) -> float:

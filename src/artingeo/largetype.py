@@ -14,8 +14,10 @@ A geodesic factorisation (g1, g2) is *permissible* when the dihedral pair
 (RD_ij(g1), LD_ij(g2)) is permissible in G(i,j) for every pair i < j.
 
 Merging strips material from the facing ends of a pair (g1, g2), one move
-at a time, while both stripped-down sides remain permissible left and right
-divisors of the originals:
+at a time, and carries the state (f1, h1, f2, h2) with g1 = f1 h1 and
+g2 = h2 f2, starting from (g1, 1, g2, 1).  A move strips h from f1 and h'
+from f2, giving (f1 h^-1, h h1, h'^-1 f2, h2 h'), and applies only while
+both (f1, h1) and (h2, f2) stay permissible factorisations:
 
   (i)   cancellation:      h * delta^r(h') = 1,
   (ii)  double Delta:      h = h' = Delta_ij^e, r increases by 2e,
@@ -26,9 +28,8 @@ While the accumulated middle power Delta_ij^r is nonzero all moves must
 take h, h' inside the active G(i,j); when r = 0 cancellation is
 unrestricted and a Delta move fixes a new active pair (the lexicographically
 least pair admitting one; only finite labels can).  When no move applies
-the triple (f1, Delta_ij^r, f2) is a merger: writing h1 = f1^-1 g1 and
-h2 = g2 f2^-1 one has h1 h2 = Delta_ij^r and both side factorisations
-permissible.  The dihedral group DA(m) is the n = 2 case,
+the triple (f1, Delta_ij^r, f2) is a merger: h1 h2 = Delta_ij^r and both
+side factorisations are permissible.  The dihedral group DA(m) is the n = 2 case,
 ArtinGroup(CoxeterPresentation.dihedral(m)), with the one pair (1, 2) and the
 bounds |r| <= min(k, l) and |h1|, |h2| <= (m-1) min(k, l);
 dihedral_ctx(1, 2).compress turns its mergers back into geodesic words.
@@ -57,7 +58,7 @@ from typing import Optional
 from .dihedral import DihedralContext
 from .presentation import CoxeterPresentation, INF
 from .shortlex import ElementBall, GroupElement, ShortlexEngine
-from .words import Word, syllable_count
+from .words import Word, names, syllable_count
 
 
 def _pair_prefix(w: Word, i: int, j: int) -> Word:
@@ -108,7 +109,7 @@ class MergerTriple:
 
 @dataclass
 class STResult:
-    triples: dict  # key -> (MergerTriple, source pair count)
+    triples: dict  # key -> MergerTriple
     middles: set[Word]  # normal forms of the middle elements
     max_r: int
     max_h: int
@@ -279,92 +280,81 @@ class ArtinGroup:
                 return False
         return True
 
-    def left_divisor_permissible(self, g, f) -> bool:
-        return self.permissible(f, f.inv() * g)
-
-    def right_divisor_permissible(self, g, f) -> bool:
-        return self.permissible(g * f.inv(), f)
-
     # -- merging ----------------------------------------------------------------------
 
     def _right_divisors(self, f: GroupElement, length: int, pair):
         """Length-`length` right divisors of f, inside G(pair) unless pair is None."""
-        if pair is None:
-            words = self.engine.right_divisor_words(f, length)
-        else:
-            rdmax = self.rd(f, *pair)
-            ctx = self.dihedral_ctx(*pair)
-            words = ctx.right_divisor_words(rdmax, length) if len(rdmax) >= length else ()
-        return [GroupElement(self.engine, w) for w in words]
+        source = self.engine if pair is None else self.dihedral_ctx(*pair)
+        return [GroupElement(self.engine, w) for w in source.right_divisor_words(f, length)]
 
-    def _strip_ok(self, g1, g2, f1, f2, h, hp):
-        fn = f1 * h.inv()
-        if len(fn) != len(f1) - len(h):
-            return False
-        if not self.left_divisor_permissible(g1, fn):
-            return False
-        gn = hp.inv() * f2
-        if len(gn) != len(f2) - len(hp):
-            return False
-        if not self.right_divisor_permissible(g2, gn):
-            return False
-        return True
+    def _strip(self, state, h, hp):
+        """The state stripped of h and h', or None unless both sides stay permissible."""
+        f1, h1, f2, h2 = state
+        f1n = f1 * h.inv()
+        if len(f1n) != len(f1) - len(h) or not self.permissible(f1n, h * h1):
+            return None
+        f2n = hp.inv() * f2
+        if len(f2n) != len(f2) - len(hp) or not self.permissible(h2 * hp, f2n):
+            return None
+        return f1n, h * h1, f2n, h2 * hp
 
-    def _delta_conj_in_pair(self, x: GroupElement, pair, power: int):
-        if power % 2 == 0:
-            return x
-        return self.element(self.dihedral_ctx(*pair).delta_word(x.word, power))
-
-    def _find_merge_move(self, g1, g2, f1, f2, r, pair):
+    def _find_merge_move(self, state, r, pair):
         """
-        The preferred move on (f1, Delta^r, f2); with pair None (only when
-        r = 0) cancellation is unrestricted and Delta moves try every finite
-        pair, otherwise every move stays inside G(pair).
+        The preferred move on the state (f1, h1, f2, h2) with middle Delta^r,
+        as (kind, h, h', r after, pair after, state after), or None.  With
+        pair None (only when r = 0) cancellation is unrestricted and Delta
+        moves try every finite pair, otherwise every move stays inside G(pair).
         """
+        f1, _h1, f2, _h2 = state
+
+        def conj(x, ctx):  # delta^r(x): conjugation by Delta^r
+            return x if r % 2 == 0 else ctx.element(ctx.delta_word(x.word, r))
+
         # (i) cancellation
+        ctx = self.dihedral_ctx(*pair) if pair else None
         for j_len in range(min(len(f1), len(f2)), 0, -1):
             for h in self._right_divisors(f1, j_len, pair):
-                hp = self._delta_conj_in_pair(h.inv(), pair, r)
-                if self._strip_ok(g1, g2, f1, f2, h, hp):
-                    return ("cancel", h, hp, r, pair)
+                hp = conj(h.inv(), ctx)
+                new = self._strip(state, h, hp)
+                if new:
+                    return ("cancel", h, hp, r, pair, new)
         pairs = [p for p in self.pres.finite_pairs() if pair is None or p == pair]
         # (ii) double Delta, both sides signed
         if f1.sign != "unsigned" and f2.sign != "unsigned":
-            for i, j in pairs:
+            for p in pairs:
                 for eps in (1, -1):
-                    h = self.dihedral_ctx(i, j).delta_elem(eps)
-                    if self._strip_ok(g1, g2, f1, f2, h, h):
-                        return ("double-delta", h, h, r + 2 * eps, (i, j))
+                    h = self.dihedral_ctx(*p).delta_elem(eps)
+                    new = self._strip(state, h, h)
+                    if new:
+                        return ("double-delta", h, h, r + 2 * eps, p, new)
         # (iii) Delta extraction
-        for i, j in pairs:
+        for p in pairs:
+            ctx = self.dihedral_ctx(*p)
             for j_len in range(len(f1), 0, -1):
-                for h in self._right_divisors(f1, j_len, (i, j)):
+                for h in self._right_divisors(f1, j_len, p):
                     for eps in (1, -1):
-                        hp = h.inv() * self.dihedral_ctx(i, j).delta_elem(eps)
-                        hp = self._delta_conj_in_pair(hp, (i, j), r)
+                        hp = conj(h.inv() * ctx.delta_elem(eps), ctx)
                         if len(hp) == 0:
                             continue
-                        if self._strip_ok(g1, g2, f1, f2, h, hp):
-                            return ("delta-extract", h, hp, r + eps, (i, j))
+                        new = self._strip(state, h, hp)
+                        if new:
+                            return ("delta-extract", h, hp, r + eps, p, new)
         return None
 
     def merge(self, g1: GroupElement, g2: GroupElement) -> MergerTriple:
         """Merge the pair (g1, g2); the active dihedral pair may change while r = 0."""
         self.require_33m("merging")
-        f1, f2, r, pair = g1, g2, 0, None
+        state, r, pair = (g1, self.identity, g2, self.identity), 0, None
         trace: list[MergeStep] = []
         while True:
-            mv = self._find_merge_move(g1, g2, f1, f2, r, pair)
+            mv = self._find_merge_move(state, r, pair)
             if mv is None:
                 break
-            kind, h, hp, r, pair = mv
-            f1 = f1 * h.inv()
-            f2 = hp.inv() * f2
+            kind, h, hp, r, pair, state = mv
             if r == 0:
                 pair = None
             trace.append(MergeStep(kind, h.word, hp.word, r))
-        h1 = f1.inv() * g1
-        h2 = g2 * f2.inv()
+        f1, h1, f2, h2 = state
         return MergerTriple(f1, pair, r, f2, h1, h2, tuple(trace))
 
     def middle_of(self, t: MergerTriple) -> GroupElement:
@@ -384,11 +374,7 @@ class ArtinGroup:
         ball = self.ball(k + l)
         for u, v in ball.fact_table(k, l).get(ball.index.get(g.word), ()):
             t = self.merge(ball.element(u), ball.element(v))
-            key = t.key()
-            if key in triples:
-                triples[key] = (triples[key][0], triples[key][1] + 1)
-            else:
-                triples[key] = (t, 1)
+            triples.setdefault(t.key(), t)
             middles.add(self.middle_of(t).word)
             max_r = max(max_r, abs(t.r))
             max_h = max(max_h, len(t.h1), len(t.h2))
@@ -399,11 +385,10 @@ class ArtinGroup:
     def _in_single_generator(self, g: GroupElement) -> bool:
         return syllable_count(g.word) <= 1
 
-    def _inner_merger_checks(self, pair, f1p, r, f2p, g1p, g2p, events, tag):
-        """Validate that (f1', Delta^r, f2') is a completed merger of (g1', g2') in G(pair)."""
+    def _inner_merger_checks(self, pair, state, r, events, tag):
+        """Validate that the state (f1', h1', f2', h2') and Delta^r form a merger in G(pair)."""
         ctx = self.dihedral_ctx(*pair)
-        h1p = f1p.inv() * g1p
-        h2p = g2p * f2p.inv()
+        f1p, h1p, f2p, h2p = state
         if ctx.m is not INF:
             if (h1p * h2p) != ctx.delta_elem(r):
                 events.append(f"{tag}: h1' h2' is not Delta^r")
@@ -413,14 +398,14 @@ class ArtinGroup:
             events.append(f"{tag}: (f1', h1') not permissible")
         if not ctx.permissible(h2p, f2p)[0]:
             events.append(f"{tag}: (h2', f2') not permissible")
-        if self._find_merge_move(g1p, g2p, f1p, f2p, r, pair) is not None:
+        if self._find_merge_move(state, r, pair) is not None:
             events.append(f"{tag}: inner triple admits a further move")
 
     def split_s(self, st: STResult, g: GroupElement, k: int, l: int) -> SDecomposition:
         """Classify every triple of S(g,k,l) into S0, S1 or S2 with witnesses."""
         out = SDecomposition()
         for key in sorted(st.triples, key=repr):
-            t, _count = st.triples[key]
+            t = st.triples[key]
             tag = f"triple {key}"
             if (
                 t.r == 0
@@ -447,16 +432,7 @@ class ArtinGroup:
             p for p in self.pres.pairs() if self.pres.label(*p) is INF
         ]
         for i, j in ordered:
-            f1p = self.rd(t.f1, i, j)
-            f2p = self.ld(t.f2, i, j)
-            same_cyclic = False
-            for c in (i, j):
-                if all(abs(a) == c for a in f1p.word) and all(
-                    abs(a) == c for a in f2p.word
-                ):
-                    same_cyclic = True
-                    break
-            if not same_cyclic:
+            if len(names(self.rd(t.f1, i, j).word) | names(self.ld(t.f2, i, j).word)) > 1:
                 return i, j
         return None
 
@@ -485,9 +461,7 @@ class ArtinGroup:
         if f1pp * fhat * f2pp != g:
             events.append(f"{tag}: g != f1'' fhat f2''")
         # property (3): the inner dihedral merger
-        self._inner_merger_checks(
-            (i, j), f1p, t.r, f2p, f1p * h1p, h2p * f2p, events, tag
-        )
+        self._inner_merger_checks((i, j), (f1p, h1p, f2p, h2p), t.r, events, tag)
         if self._in_single_generator(fhat):
             events.append(f"{tag}: fhat lies in a cyclic subgroup")
         inner = (f1p, t.r, f2p)

@@ -74,13 +74,6 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.engine.multiply(self, other)
 
-    def __pow__(self, k: int) -> "GroupElement":
-        base = self if k >= 0 else self.inv()
-        out = self.engine.identity
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
     def inv(self) -> "GroupElement":
         return self.engine.invert(self)
 
@@ -116,9 +109,6 @@ class ShortlexEngine:
 
     def lex_key(self, w: Word):
         return tuple(self._rank[a] for a in w)
-
-    def shortlex_key(self, w: Word):
-        return (len(w), self.lex_key(w))
 
     def append(self, z: Word, a: int) -> Word:
         """Normal form of z*a for z already in normal form."""

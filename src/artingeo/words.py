@@ -20,8 +20,6 @@ from typing import Iterable
 Letter = int
 Word = tuple[int, ...]
 
-EMPTY: Word = ()
-
 
 def name(a: Letter) -> int:
     """The generator index of a letter, ignoring its sign."""

@@ -110,10 +110,16 @@ def test_error_json(capsys):
         ["divisors", "ab", "1", "5"],
         ["d1-scan", "--min-kl", "-1"],
         ["d1-scan", "--min-kl"],
+        ["--out", "unused", "nf", "ab"],
+        ["--out", "unused", "geodesic", "ab"],
+        ["--out", "unused", "divisors", "ab", "1", "2"],
+        ["--out", "unused", "merge", "ab", "ab"],
+        ["--out", "unused", "compress", "ab", "ab"],
     ],
     ids=[
         "ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors",
-        "d1-scan-min-kl", "d1-scan-min-kl-empty",
+        "d1-scan-min-kl", "d1-scan-min-kl-empty", "nf-out", "geodesic-out",
+        "divisors-out", "merge-out", "compress-out",
     ],
 )
 def test_out_of_range_input(capsys, argv):

@@ -139,6 +139,16 @@ def test_length_reducing_moves():
     )
 
 
+def test_length_reducing_move_at_span():
+    # the over-critical span [start, end) shortens after free reduction
+    for w, start, end, m, out in (("abaB", 0, 4, 3, "ba"), ("ababA", 0, 5, 4, "bab")):
+        w = W(w)
+        mv = locate_overcritical(w, start, end, m)
+        assert free_reduce(w[:start] + mv.image + w[end:]) == W(out)
+    with pytest.raises(ValueError):
+        locate_overcritical(W("abaBAB"), 1, 6, 4)
+
+
 def test_overcritical_maximality_precondition():
     # the initial block must be a maximal alternating subword of the host
     w = W("abaBAB")

@@ -10,6 +10,7 @@ from artingeo.words import (
     format_word,
     free_reduce,
     is_freely_reduced,
+    names,
     parse_word,
     runs,
     syllable_count,
@@ -80,14 +81,6 @@ def test_tau_examples_and_errors(da3, da4):
     assert format_word(da4.tau(W("abab"))) == "baba"
     with pytest.raises(ValueError):
         da3.tau(W("ab"))
-
-
-def test_apply_length_reducing_tau(da3, da4):
-    assert da3.apply_length_reducing_tau(W("abaB"), 0, 4) == W("ba")
-    out = da4.apply_length_reducing_tau(W("ababA"), 0, 5)
-    assert out == W("bab")
-    with pytest.raises(ValueError):
-        da4.apply_length_reducing_tau(W("abaBAB"), 1, 6)
 
 
 def test_reduce_examples(da3, da4):
@@ -228,13 +221,34 @@ def test_pair_context_matches_dihedral_group(stash, name):
                 assert tuple(map(down, rdw)) == da.right_divisor_words(d, min(k, len(d)))
 
 
+@pytest.mark.parametrize("name", ["triangle345", "triangle444", "counterexample433"])
+def test_pair_right_divisors_match_oracle(stash, name):
+    # the G(i,j) right divisors of any f are the oracle's right divisors of f
+    # spelled in the names i and j, in the engine's lex order
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    ball = stash.oracle_ball(name, 4)
+    for idx, word in enumerate(ball.words):
+        f = group.element(word)
+        divisors = sorted((ball.words[d] for d in ball.right_divisors(idx)), key=group.engine.lex_key)
+        for i, j in group.pres.finite_pairs():
+            ctx = group.dihedral_ctx(i, j)
+            for k in range(len(word) + 1):
+                want = tuple(w for w in divisors if len(w) == k and names(w) <= {i, j})
+                assert ctx.right_divisor_words(f, k) == want, (name, word, (i, j), k)
+
+
 # sha256 over the sorted reprs of merge_row for every pair (g1, g2) with
-# |g1| + |g2| <= max_kl, computed with the 2-generator merge that
-# DihedralContext carried before ArtinGroup.merge became the only merge
+# |g1| + |g2| <= max_kl.  The dihedral digests were computed with the
+# 2-generator merge that DihedralContext carried before ArtinGroup.merge
+# became the only merge; the triangle digests pin the multi-generator merge
+# (at max_kl 5, 16 triangle345 mergers end on a Delta power of the label-5
+# pair (2, 3), none at max_kl 4)
 MERGE_REFERENCE = {
     "da3": (6, 6629, "fe72ec4b8dc2875a1a51267c1b55d0e7138639c75ef9174c0ea0fb9c2f3ef150"),
     "da4": (6, 10305, "43a521211d70681164ce5844305ac5217f1bcadfdc9686d6ac0ee54e4c4cfbc4"),
     "dainf": (5, 3241, "7ee778312a996b957de7339c17a72c0df577c40b480c4f3be87796c7d1c37901"),
+    "triangle345": (5, 27861, "07c20fb8ca6477a8fc2704c18bb33c9f89d16d0ae563b316ac8c741088676392"),
+    "triangle444": (5, 29605, "0d50a87097b8132cdb7850519714e223bda145ba2892290d5a29be50fdf017b9"),
 }
 
 
@@ -474,7 +488,7 @@ def test_left_divisor_count_bound(da3):
                 divisors = set()
                 for rep in da3.geodesic_words(g):
                     u = da3.element(rep[:k])
-                    if da3.left_divisor_permissible(g, u):
+                    if da3.permissible(u, u.inv() * g)[0]:
                         divisors.add(u.word)
                 bound = 4 * m * k * k + 4 * (k + 1) + (k + 1)
                 assert len(divisors) <= bound
