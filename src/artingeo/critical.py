@@ -29,16 +29,17 @@ Words that are not shortlex minimal are repaired by *critical sequences*:
 chains of tau-moves in which consecutive moved subwords overlap in exactly
 one letter.  A rightward chain ends in a free cancellation and shortens the
 word; a leftward chain keeps the length and lowers the word
-lexicographically.  This module implements the classification and the
-moves, one span scanner, `critical_spans_at`, and one iterative depth-first
-walker, `critical_chains`, over every chain in either direction; the
-rightward, leftward and letter-change searches are short loops over its
-states.  The shortlex engine and the
-brute-force oracle are both built on top of it.
+lexicographically.  By Holt and Rees (Proc. LMS 2012), for a
+shortlex-minimal z and a letter a, the one sequence that repairs z a
+touches a: a rightward one ends with an image ending in a^-1 before a,
+a leftward one starts with a subword ending at a.  The searches start
+there (so w[:-1] must be shortlex-minimal) and keep (span, image) moves,
+not words.  The shortlex engine and the brute-force oracle build on it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -239,24 +240,78 @@ def critical_spans(w: Word, label: LabelFn) -> Iterator[tuple[int, int, Critical
 
 
 def critical_spans_at(
-    w: Word, pos: int, label: LabelFn, rightward: bool
+    w: Word, pos: int, label: LabelFn, rightward: bool, last: Optional[int] = None
 ) -> Iterator[tuple[int, int, CriticalWord]]:
     """
     Critical subwords starting at index pos by increasing end (rightward),
-    or ending at index pos, exclusive, by decreasing start (leftward).
+    or ending at index pos, exclusive, by decreasing start (leftward); with
+    a letter last (leftward only), the critical x w[s+1:pos], x any letter
+    of the pair, whose tau image ends in last.
     """
-    for other in range(pos + 3, len(w) + 1) if rightward else range(pos - 3, -1, -1):
-        s, e = (pos, other) if rightward else (other, pos)
-        sub = w[s:e]
-        nm = names(sub)
-        if len(nm) != 2:
-            if len(nm) > 2:
-                break
-            continue
-        n1, n2 = sorted(nm)
-        c = classify_critical(sub, label(n1, n2))
-        if c is not None:
-            yield s, e, c
+    if rightward:
+        for e in range(pos + 3, len(w) + 1):
+            nm = names(w[pos:e])
+            if len(nm) == 2:
+                m = label(*sorted(nm))
+                if m is None:
+                    return
+                c = classify_critical(w[pos:e], m)
+                if c is not None:
+                    yield pos, e, c
+            elif len(nm) > 2:
+                return
+        return
+    e, k = pos, pos - 2
+    while k >= 0 and abs(w[k]) == abs(w[e - 1]):
+        k -= 1
+    if k < 0 or label(*sorted((abs(w[k]), abs(w[e - 1])))) is None:
+        return  # a single name, or an unconstrained pair
+    other, sign = abs(w[k]), w[e - 1] > 0
+    i, j = sorted((other, abs(w[e - 1])))
+    m = label(i, j)
+    # critical: boundary blocks are whole runs <= m, interior runs <= their sign's block
+    same = opp = 0  # longest interior run signed like w[e - 1], and not
+    hs, ts = e, None  # end of the first run of w[r:e], start of its last run
+    for r in range(e - 1, 0, -1):
+        a, b = w[r], w[r + 1] if r + 1 < e else 0
+        if abs(a) != i and abs(a) != j:
+            return
+        if b and ((a > 0) != (b > 0) or abs(a) == abs(b)):
+            if ts is None:
+                ts = r + 1
+            elif (b > 0) == sign:
+                same = max(same, hs - r - 1)
+            else:
+                opp = max(opp, hs - r - 1)
+            hs = r + 1
+        end = e - (r if ts is None else ts)  # length of the last block
+        if end > m or max(same, opp) >= m or (opp and (same > end or opp > m - end)):
+            return
+        s = r - 1
+        for x in (w[s],) if last is None else (i, -i, j, -j):
+            if x == -a or abs(x) not in (i, j):
+                continue
+            joins = (x > 0) == (a > 0) and x != a
+            first = hs - s if joins else 1
+            head = 0 if joins or ts is None else hs - r  # the first run turns interior
+            same_x, opp_x = (max(same, head), opp) if (a > 0) == sign else (same, max(opp, head))
+            if ts is None and first > 1:
+                ok = e - s == m
+            elif (x > 0) != sign:
+                ok = first + end == m and same_x <= end and opp_x <= first
+            else:
+                ok = not opp_x and same_x < m >= first and (first == m) != (end == m)
+            if ok and last is not None:
+                # tau ends in the other name signed like x or, when the
+                # m-block ends the word, in delta of the letter before it
+                if (x > 0) == sign and end == m:
+                    ok = last == delta_letter(w[e - m - 1] if e - m - 1 > s else x, (i, j), m)
+                else:
+                    ok = last == (other if x > 0 else -other)
+            if ok:
+                c = classify_critical((x,) + w[r:e], m)
+                if c is not None:
+                    yield s, e, c
 
 
 def apply_tau_at(w: Word, s: int, e: int, c: CriticalWord) -> Word:
@@ -377,82 +432,93 @@ def reduce_2gen(w: Word, m: Optional[int]) -> tuple[Word, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _image_cancels(word: Word, span: tuple[int, int]) -> bool:
-    """Whether the tau image at span cancels a neighbour; images are reduced, so only ends can."""
-    s, e = span
-    return (s > 0 and word[s - 1] == -word[s]) or (e < len(word) and word[e - 1] == -word[e])
-
-
-def critical_chains(
-    w: Word, label: LabelFn, rightward: bool
-) -> Iterator[tuple[Word, tuple[tuple[int, int], ...]]]:
+def rightward_moves(w: Word, label: LabelFn, end: int, last: int):
     """
-    Walk every critical sequence on the freely reduced word w depth first,
-    yielding (word, moves) after each tau-move, where moves are the spans
-    moved so far.  The first move is at any critical span of w; each later
-    one starts at the last letter of the previous image (rightward) or ends
-    at its first letter (leftward).  A word that is not freely reduced ends
-    its chain, and a (word, overlap) state is continued only the first time
-    it is reached.
+    The moves (s, e, image) of a rightward critical sequence on w whose last
+    image ends at index end in the letter last, or None.  The search runs
+    back from that goal over states (s, x), each entered once: x w[s+1:e]
+    moves, x being w[s] (a start) or the end of an image ending at s + 1.
     """
-    seen: set[tuple[Word, int]] = set()
-    stack = [(w, (), critical_spans(w, label))]
+    seen = set()
+    stack = [(critical_spans_at(w, end, label, False, last), None)]  # (spans, move)
     while stack:
-        cur, moves, spans = stack[-1]
-        for s, e, c in spans:
-            nxt = apply_tau_at(cur, s, e, c)
-            trail = moves + ((s, e),)
-            yield nxt, trail
-            pos = e - 1 if rightward else s + 1
-            if not _image_cancels(nxt, (s, e)) and (nxt, pos) not in seen:
-                seen.add((nxt, pos))
-                stack.append((nxt, trail, critical_spans_at(nxt, pos, label, rightward)))
-                break
+        for s, e, c in stack[-1][0]:
+            x = c.word[0]
+            if (s, x) in seen:
+                continue
+            if x == w[s]:
+                return [(s, e, tau(c))] + [move for _, move in reversed(stack[1:])]
+            seen.add((s, x))
+            stack.append((critical_spans_at(w, s + 1, label, False, x), (s, e, tau(c))))
+            break
         else:
             stack.pop()
-
-
-def rightward_length_reduction(w: Word, label: LabelFn) -> Optional[Word]:
-    """
-    Search for a rightward length-reducing sequence on the freely reduced
-    word w: tau-moves chained so that each subsequent critical subword starts
-    at the last letter of the previous image, finished by a free cancellation.
-    Returns the freely reduced result (2 letters shorter), or None.
-    """
-    for word, moves in critical_chains(w, label, rightward=True):
-        if _image_cancels(word, moves[-1]):
-            return free_reduce(word)
     return None
 
 
-def leftward_lex_reduction(w: Word, label: LabelFn, key) -> Optional[Word]:
-    """
-    Search leftward chains (each subsequent critical subword ends at the
-    first letter of the previous image) for a lexicographically smaller word
-    of the same length.  Returns the best word found over all chain states,
-    or a strictly shorter word if a chain state admits free reduction.
-    """
-    best, bkey = w, key(w)
-    for word, moves in critical_chains(w, label, rightward=False):
-        if _image_cancels(word, moves[-1]):
-            return free_reduce(word)
-        wk = key(word)
-        if wk < bkey:
-            best, bkey = word, wk
-    return best if best != w else None
+def _apply_moves(w: Word, moves) -> Optional[Word]:
+    out = None if moves is None else list(w)
+    for s, e, image in moves or ():
+        out[s:e] = image
+    return None if out is None else tuple(out)
 
 
 def rightward_letter_change(w: Word, label: LabelFn, target: int) -> Optional[Word]:
+    """The word ending in target that a rightward sequence reaches from w, or None."""
+    return _apply_moves(w, rightward_moves(w, label, len(w), target))
+
+
+def rightward_length_reduction(w: Word, label: LabelFn) -> Optional[Word]:
+    """w = z a freely reduced after the rightward sequence on z ending in a^-1, or None."""
+    moved = _apply_moves(w, rightward_moves(w, label, len(w) - 1, -w[-1])) if w else None
+    return None if moved is None else free_reduce(moved)
+
+
+def leftward_states(w: Word, label: LabelFn, key) -> dict:
     """
-    Search rightward chains (without the final cancellation) for a word of
-    the same length ending in the letter `target`.  Used to check that two
-    geodesic spellings with different last letters are linked by a single
-    rightward critical sequence.
+    The states (s, x) -> (image at s, previous state) of the leftward
+    sequences on the geodesic w whose first subword ends at its end; x is
+    the image's first letter.  What follows x never bears on later moves, so
+    states settle by decreasing s, each keeping its key-least suffix.
     """
-    for word, moves in critical_chains(w, label, rightward=True):
-        if word[-1] == target and not _image_cancels(word, moves[-1]):
-            return word
-    return None
+    states: dict = {}
+    heap: list = []  # (-s, x) of the states still to expand
+    spans, prev, tail = critical_spans_at(w, len(w), label, False), None, ()
+    while True:
+        for s, e, c in spans:
+            image = tau(c)
+            state = (s, image[0])
+            if state not in states:
+                heapq.heappush(heap, (-s, image[0]))
+            elif key(state_suffix(states, state)[1:]) <= key(image[1:] + tail):
+                continue
+            states[state] = (image, prev)
+        if not heap:
+            return states
+        neg, x = heapq.heappop(heap)
+        prev = (-neg, x)
+        tail = state_suffix(states, prev)[1:]
+        spans = critical_spans_at(w[:-neg] + (x,), 1 - neg, label, False)
+
+
+def state_suffix(states: dict, state) -> Word:
+    """The word of a leftward state from its position on."""
+    image, state = states[state]
+    out = list(image)
+    while state is not None:
+        image, state = states[state]
+        out.extend(image[1:])
+    return tuple(out)
+
+
+def leftward_lex_reduction(w: Word, label: LabelFn, key) -> Optional[Word]:
+    """The key-least leftward state of w = z a if below w; by Holt-Rees, the normal form."""
+    states = leftward_states(w, label, key)  # a state's word first differs from w at s
+    better = [(s, key((x,)), x) for s, x in states if key((x,)) < key(w[s : s + 1])]
+    if not better:
+        return None
+    s, _, x = min(better)
+    return w[:s] + state_suffix(states, (s, x))
 
 
 def tau_closure(w: Word, label: LabelFn) -> frozenset[Word]:

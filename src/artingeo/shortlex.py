@@ -5,11 +5,12 @@ The engine keeps every prefix in shortlex-minimal form while consuming a
 word letter by letter.  Appending a letter to a minimal word either cancels
 freely, stays minimal, admits one rightward length-reducing sequence (the
 word was not geodesic), or admits one leftward lex-reducing sequence (the
-word was geodesic but not lex-least).  The chain searches of
-:mod:`artingeo.critical` realise both repairs; every applied repair strictly
-decreases the shortlex key and preserves the group element, so iteration
-terminates on the normal form.  Correctness of the search is certified
-against the brute-force oracle over exhaustive word sets in the test suite.
+word was geodesic but not lex-least).  By the lemma of Holt and Rees
+(Proc. LMS 2012) that sequence touches the appended letter, so the searches
+of :mod:`artingeo.critical` start at the end of the word; they require what
+`append` guarantees, a shortlex-minimal word minus its last letter.  A
+length repair is renormalised; a lex repair is the normal form.  The tests
+certify the searches against the brute-force oracle on exhaustive sets.
 
 Group elements are identified with their normal-form words, so element
 equality is word equality and all higher layers (divisors, factorisation
@@ -99,7 +100,7 @@ class ShortlexEngine:
             raise ValueError("order must be a permutation of the 2n letters")
         self._rank = {a: r for r, a in enumerate(self.order)}
         self.label: LabelFn = pair_label_fn(pres)
-        self._append: dict[tuple[Word, int], Word] = {}
+        self._append: dict[Word, dict[int, Word]] = {}  # z -> {a: nf(z a)}
         self._inv: dict[Word, Word] = {}
         self._geo: dict[Word, frozenset[Word]] = {}
         self._rdiv: dict[tuple[Word, int], tuple[Word, ...]] = {}
@@ -112,8 +113,8 @@ class ShortlexEngine:
 
     def append(self, z: Word, a: int) -> Word:
         """Normal form of z*a for z already in normal form."""
-        key = (z, a)
-        hit = self._append.get(key)
+        row = self._append.setdefault(z, {})  # hashes z once, hit or miss
+        hit = row.get(a)
         if hit is not None:
             return hit
         if a == 0 or abs(a) > self.pres.n:
@@ -122,21 +123,14 @@ class ShortlexEngine:
             res = z[:-1]
         else:
             res = self._repair(z + (a,))
-        self._append[key] = res
+        row[a] = res
         return res
 
     def _repair(self, w: Word) -> Word:
         red = rightward_length_reduction(w, self.label)
         if red is not None:
             return self.nf(red)
-        cur = w
-        while True:
-            better = leftward_lex_reduction(cur, self.label, self.lex_key)
-            if better is None:
-                return cur
-            if len(better) < len(cur):
-                return self.nf(better)
-            cur = better
+        return leftward_lex_reduction(w, self.label, self.lex_key) or w
 
     def nf(self, word: Iterable[int] | str) -> Word:
         """Shortlex normal form of an arbitrary word."""

@@ -4,18 +4,20 @@ import pytest
 
 from artingeo.critical import (
     classify_critical,
-    critical_chains,
     critical_spans,
     critical_spans_at,
     delta_letter,
     delta_word,
     find_length_reducing_move,
     leftward_lex_reduction,
+    leftward_states,
     locate_overcritical,
     pair_label_fn,
     pn_values,
     reduce_2gen,
     rightward_length_reduction,
+    rightward_moves,
+    state_suffix,
     tau,
     tau_closure,
 )
@@ -35,13 +37,34 @@ def overlaps_in_single_letters(moves, rightward):
     return all(nxt[1] == cur[0] + 1 for cur, nxt in pairs)
 
 
+def rightward_chain_states(w, label, end, last):
+    """(word, spans) after each move of the rightward sequence found for a goal."""
+    out, spans = [], ()
+    for s, e, image in rightward_moves(w, label, end, last) or []:
+        w, spans = w[:s] + image + w[e:], spans + ((s, e),)
+        out.append((w, spans))
+    return out
+
+
+def leftward_chain_states(w, label):
+    """(word, spans) of every leftward state, spans in the order moved."""
+    states = leftward_states(w, label, lambda v: v)
+    out = []
+    for state in states:
+        spans, cur = [], state
+        while cur is not None:
+            image, prev = states[cur]
+            spans.insert(0, (cur[0], cur[0] + len(image)))
+            cur = prev
+        out.append((w[: state[0]] + state_suffix(states, state), tuple(spans)))
+    return out
+
+
 def first_cancelling_chain(w, label):
-    """(word, moves) at the first rightward chain state that is not freely reduced."""
-    return next(
-        (word, moves)
-        for word, moves in critical_chains(w, label, rightward=True)
-        if not is_freely_reduced(word)
-    )
+    """(word, moves) at the end of the rightward sequence that cancels the last letter of w."""
+    word, moves = rightward_chain_states(w, label, len(w) - 1, -w[-1])[-1]
+    assert not is_freely_reduced(word)
+    return word, moves
 
 
 def tau_of(text, m):
@@ -241,11 +264,33 @@ def test_long_rightward_chain_is_iterative():
     assert overlaps_in_single_letters(moves, rightward=True)
 
 
+def test_long_rightward_chain_memory():
+    # the search keeps (span, image) moves and parent links, not one copy
+    # of the 4,501-letter word per state
+    import tracemalloc
+
+    label = pair_label_fn(CoxeterPresentation.dihedral(3))
+    w = W("a" * 1500 + "baab" * 750 + "A")
+    tracemalloc.start()
+    try:
+        res = rightward_length_reduction(w, label)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == free_reduce(first_cancelling_chain(w, label)[0])
+    assert len(res) == 4499
+    assert peak < 10 * 2**20, peak
+
+
 @pytest.mark.parametrize("rightward", [True, False])
 def test_critical_chains_overlap_in_one_letter(rightward):
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
     label = pair_label_fn(pres)
-    states = list(critical_chains(W("aBBAcbbCBacaacA"), label, rightward))
+    w = W("aBBAcbbCBacaacA")
+    if rightward:
+        states = rightward_chain_states(w, label, len(w) - 1, -w[-1])
+    else:
+        states = leftward_chain_states(w, label)
     assert any(len(moves) > 1 for _, moves in states)
     for word, moves in states:
         assert len(word) == 15
@@ -283,7 +328,8 @@ def test_span_scanner_matches_brute_force(preset):
         return [] if c is None else [(s, e, c)]
 
     rng = random.Random(preset)
-    found = 0
+    pres_letters = [a for g in range(1, pres.n + 1) for a in (g, -g)]
+    found = found_free = 0
     for _ in range(12):
         w = pair_heavy_word(rng, pres, rng.randint(20, 40))
         for pos in range(len(w) + 1):
@@ -292,7 +338,19 @@ def test_span_scanner_matches_brute_force(preset):
             assert list(critical_spans_at(w, pos, label, True)) == right, (w, pos)
             assert list(critical_spans_at(w, pos, label, False)) == left, (w, pos)
             found += len(right)
+            # with a last letter: any first letter, tau image ending in it
+            for last in pres_letters:
+                free = [
+                    (s, pos, c)
+                    for s in range(pos - 1, -1, -1)
+                    for x in pres_letters
+                    for _, _, c in accepted(w[:s] + (x,) + w[s + 1 :], s, pos)
+                    if tau(c)[-1] == last
+                ]
+                assert list(critical_spans_at(w, pos, label, False, last)) == free, (w, pos)
+                found_free += len(free)
     assert found > 50  # the words must actually contain critical subwords
+    assert found_free > 50
 
 
 def test_engine_rejects_out_of_range_letters():

@@ -1,7 +1,7 @@
 """Oracle-free invariants of the shortlex engine on long words.
 
 The brute-force oracle certifies normal forms only up to a few letters; these
-seeded checks exercise the critical-chain searches on words of 40-200
+seeded checks exercise the critical-chain searches on words of 300-1,000
 letters, where only properties every normal form must have can be checked.
 """
 
@@ -60,8 +60,8 @@ def test_long_word_invariants(name):
     comp = odd_components(pres)
     relators = [pres.relator_sides(i, j) for i, j in pres.finite_pairs()]
     rng = random.Random(f"invariants-{name}")
-    words = [signed_word(rng, pres.n, rng.randint(50, 200)) for _ in range(4)]
-    words += [positive_word(rng, pres.n, rng.randint(40, 60)) for _ in range(3)]
+    words = [signed_word(rng, pres.n, rng.randint(500, 1000)) for _ in range(4)]
+    words += [positive_word(rng, pres.n, rng.randint(300, 500)) for _ in range(3)]
     for w in words:
         z = engine.nf(w)
         assert engine.nf(z) == z
@@ -73,3 +73,29 @@ def test_long_word_invariants(name):
         cut = rng.randint(0, len(w))
         u, v = w[:cut], w[cut:]
         assert engine.nf(u + lhs + v) == engine.nf(u + rhs + v)
+
+
+def test_classify_calls_per_letter(monkeypatch):
+    # a deterministic work count: the searches start at the end of the
+    # word, so nf makes a bounded number of classify_critical calls per
+    # letter instead of rescanning the whole word at every append
+    from artingeo import critical
+
+    calls = 0
+    classify = critical.classify_critical
+
+    def counted(w, m):
+        nonlocal calls
+        calls += 1
+        return classify(w, m)
+
+    monkeypatch.setattr(critical, "classify_critical", counted)
+    rng = random.Random("classify-calls")
+    for name, w in [
+        ("triangle345", positive_word(rng, 3, 1000)),
+        ("counterexample433", signed_word(rng, 3, 1000)),
+        ("dainf", signed_word(rng, 2, 10000)),
+    ]:
+        calls = 0
+        ShortlexEngine(load_preset(name)).nf(w)
+        assert calls <= 40 * len(w), (name, calls)

@@ -8,7 +8,7 @@ from artingeo.oracle import Ball, Oracle, relator_closure, relator_equal
 from artingeo.presentation import CoxeterPresentation
 from artingeo.words import inverse_word, parse_word
 
-from conftest import all_words
+from conftest import all_words, freely_reduced_words
 
 W = parse_word
 
@@ -258,3 +258,31 @@ def test_ball_load_rejects_malformed_tables(tmp_path):
     path.write_text(json.dumps({k: v for k, v in good.items() if k != "words"}))
     with pytest.raises(ValueError, match="lacks words"):
         Ball.load(path, orc)
+
+
+@pytest.mark.parametrize("name", ["da3", "da4"])
+def test_engine_matches_oracle_on_all_words_of_length_8(name, stash):
+    from artingeo.shortlex import ShortlexEngine
+
+    engine = ShortlexEngine(stash.pres(name))
+    oracle = stash.oracle(name)
+    for w in freely_reduced_words(2, 8, 8):
+        assert engine.nf(w) == oracle.canon(w), w
+
+
+@pytest.mark.parametrize("name", ["triangle345", "triangle444", "counterexample433"])
+def test_engine_matches_oracle_on_sampled_words(name, stash):
+    # 5,000 seeded freely reduced words of 8-10 letters per group
+    from artingeo.shortlex import ShortlexEngine
+
+    pres = stash.pres(name)
+    engine = ShortlexEngine(pres)
+    oracle = stash.oracle(name)
+    letters = [a for g in range(1, pres.n + 1) for a in (g, -g)]
+    rng = random.Random(f"oracle-sample-{name}")
+    for _ in range(5000):
+        w = [rng.choice(letters)]
+        for _ in range(rng.randint(7, 9)):
+            w.append(rng.choice([a for a in letters if a != -w[-1]]))
+        w = tuple(w)
+        assert engine.nf(w) == oracle.canon(w), w
