@@ -15,8 +15,11 @@ Command-line surface.
 Every subcommand accepts --json for a machine-readable report.  Precondition
 failures exit with status 2 and print a JSON error object.  Only ball,
 d1-scan, d2-scan, rd-check and repro-paper write artifacts; --out with any
-other subcommand is an error.  Artifacts written with --out are
-byte-reproducible for a fixed configuration and seed.
+other subcommand is an error.  Likewise --allow-counterexample is accepted
+only by divisors, merge, compress and d2-scan, the commands that check the
+no-(3,3,m) hypothesis, and --preset by every subcommand but repro-paper.
+Artifacts written with --out are byte-reproducible for a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .words import format_word, parse_word
 
 CACHE_ENV = "ARTINGEO_CACHE"
 OUT_COMMANDS = ("ball", "d1-scan", "d2-scan", "rd-check", "repro-paper")
+COUNTEREXAMPLE_COMMANDS = ("divisors", "merge", "compress", "d2-scan")
 
 
 def _write_csv(path: Path, header, rows):
@@ -293,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset",
         "--presentation",
         dest="presentation",
-        default="da3",
-        help=f"preset name ({', '.join(PRESET_NAMES)}) or a presentation file path",
+        default=None,
+        help=f"preset name ({', '.join(PRESET_NAMES)}) or a presentation file path; default da3",
     )
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--out", default=None, help="directory for CSV/JSON artifacts")
@@ -338,9 +342,16 @@ def main(argv=None) -> int:
             raise ValueError(
                 f"{args.command} writes no artifacts; --out is accepted by {', '.join(OUT_COMMANDS)}"
             )
+        if args.allow_counterexample and args.command not in COUNTEREXAMPLE_COMMANDS:
+            raise ValueError(
+                f"{args.command} needs no hypothesis; --allow-counterexample is accepted by "
+                + ", ".join(COUNTEREXAMPLE_COMMANDS)
+            )
         if args.command == "repro-paper":
+            if args.presentation is not None:
+                raise ValueError("repro-paper runs its own presentations; --preset is not accepted")
             return cmd_repro(args)
-        args.pres_id, pres = resolve_presentation(args.presentation)
+        args.pres_id, pres = resolve_presentation(args.presentation or "da3")
         group = ArtinGroup(pres, allow_counterexample=args.allow_counterexample)
         handlers = {
             "nf": cmd_nf,

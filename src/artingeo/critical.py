@@ -11,19 +11,19 @@ positive alternating subword capped at m, and n(w) the negative counterpart.
 w is geodesic in the dihedral group iff p(w) + n(w) <= m, and is the unique
 geodesic spelling of its element iff p(w) + n(w) < m.
 
-A word with p + n = m is *critical* when it has one of three shapes, where
-the displayed alternating blocks are maximal in the word and realise p and n
-(xi is the remaining interior):
-
-  (i)   unsigned:  alt_p(x, y) xi alt_n(z', t')   or its mirror image,
-  (ii)  positive:  alt_m(x, y) xi  or  xi alt_m(z, t), exactly one
-        alternating subword of length m,
-  (iii) negative:  the all-inverse mirror of (ii).
-
-The involution tau swaps paired critical words that represent the same group
-element; replacing a critical subword by its tau image is a *tau-move*.
-Over-critical shapes (p + n > m with the analogous maximality conditions)
-admit *length-reducing* tau-moves which shorten the word by 2(p + n - m).
+A word with p + n = m is *critical* when it has the form B1 xi B2: B1 and B2
+are alternating boundary blocks of opposite signs, of head and tail letters
+with head + tail = m, maximal in the word and realising p and n, and xi is
+the interior.  A signed critical word is the case in which one block is
+empty: its letters share a sign and its one alternating subword of length m
+starts or ends it.  The involution tau swaps the two blocks for blocks of
+tail and head letters of the opposite signs around delta(xi); the two words
+represent the same element, and replacing a critical subword by its tau
+image is a *tau-move*.  The same block swap on an over-critical word
+(p + n > m, blocks capped at m and maximal in the host) is a
+*length-reducing* move, which shortens the word by 2(p + n - m) after free
+cancellation.  The critical subwords of a word are found by one scanner,
+anchored at an end index and walking the runs leftward.
 
 Words that are not shortlex minimal are repaired by *critical sequences*:
 chains of tau-moves in which consecutive moved subwords overlap in exactly
@@ -113,26 +113,15 @@ def pn_values(w: Word, m: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CriticalWord:
-    """A classified critical word together with the data its tau image needs.
-
-    For the unsigned form, x is the name of the first letter and t the name
-    of the last letter (y, z the respective other names); p and n are the
-    lengths of the positive and negative boundary blocks.  For signed forms
-    the block of length m sits at the start, the end, or is the whole word.
-    """
+    """A critical word B1 xi B2 for label m: head and tail are the lengths of
+    the boundary blocks B1 and B2, head + tail = m (0 for the empty block of
+    a signed word)."""
 
     word: Word
-    form: str  # 'unsigned' | 'positive' | 'negative'
     m: int
     pair: tuple[int, int]
-    p: int
-    n: int
-    x: int
-    y: int
-    z: int
-    t: int
-    xi: Word
-    block_at: str  # 'start' | 'end' | 'whole' (signed forms); 'both' (unsigned)
+    head: int
+    tail: int
 
 
 def classify_critical(w: Word, m: Optional[int]) -> Optional[CriticalWord]:
@@ -142,125 +131,61 @@ def classify_critical(w: Word, m: Optional[int]) -> Optional[CriticalWord]:
     nm = sorted(names(w))
     if len(nm) != 2:
         return None
-    pair = (nm[0], nm[1])
     rs = runs(w)
     pos_max = max((e - s for s, e in rs if w[s] > 0), default=0)
     neg_max = max((e - s for s, e in rs if w[s] < 0), default=0)
-
-    first_s, first_e = rs[0]
-    last_s, last_e = rs[-1]
-    first_positive = w[0] > 0
-    last_positive = w[-1] > 0
-
+    head, tail = rs[0][1] - rs[0][0], rs[-1][1] - rs[-1][0]
+    pair = (nm[0], nm[1])
     if pos_max and neg_max:
-        # form (i): boundary blocks of opposite signs realising p and n
-        if first_positive == last_positive or len(rs) < 2:
+        # unsigned: boundary blocks of opposite signs realising p and n
+        p, n = (head, tail) if w[0] > 0 else (tail, head)
+        if (w[0] > 0) == (w[-1] > 0) or p + n != m or p != pos_max or n != neg_max:
             return None
-        p = first_e - first_s if first_positive else last_e - last_s
-        n = last_e - last_s if first_positive else first_e - first_s
-        if p + n != m or p != pos_max or n != neg_max:
-            return None
-        x = name(w[0])
-        t = name(w[-1])
-        y = pair[0] if x == pair[1] else pair[1]
-        z = pair[0] if t == pair[1] else pair[1]
-        xi = w[first_e:last_s]
-        return CriticalWord(w, "unsigned", m, pair, p, n, x, y, z, t, xi, "both")
-
-    # signed forms: exactly one alternating subword of length m, located at
-    # the start or the end of the word
-    run_len = pos_max if pos_max else neg_max
-    form = "positive" if pos_max else "negative"
-    windows = sum(max(0, (e - s) - m + 1) for s, e in rs)
-    if windows != 1 or run_len != m:
+        return CriticalWord(w, m, pair, head, tail)
+    # signed: exactly one alternating subword of length m, at the start or the end
+    windows = sum(max(0, e - s - m + 1) for s, e in rs)
+    if windows != 1 or max(pos_max, neg_max) != m or m not in (head, tail):
         return None
-    if first_e - first_s == m:
-        block_at = "whole" if len(w) == m else "start"
-    elif last_e - last_s == m:
-        block_at = "end"
-    else:
-        return None
-
-    x = name(w[0])
-    y = pair[0] if x == pair[1] else pair[1]
-    if block_at == "whole":
-        return CriticalWord(w, form, m, pair, m, 0, x, y, y, x, (), "whole")
-    if block_at == "start":
-        xi = w[m:]
-        zl = xi[-1]  # z is the name of the last xi letter
-        z = name(zl)
-        t = pair[0] if z == pair[1] else pair[1]
-        return CriticalWord(w, form, m, pair, m, 0, x, y, z, t, xi, "start")
-    # block at end
-    xi = w[: len(w) - m]
-    fd = delta_letter(xi[0], pair, m)
-    if m % 2 == 1:
-        x = name(fd)
-    else:
-        x = pair[0] if name(fd) == pair[1] else pair[1]
-    y = pair[0] if x == pair[1] else pair[1]
-    t = name(w[-1])
-    z = pair[0] if t == pair[1] else pair[1]
-    return CriticalWord(w, form, m, pair, m, 0, x, y, z, t, xi, "end")
+    return CriticalWord(w, m, pair, *((m, 0) if head == m else (0, m)))
 
 
-def _swap_image(positive_first, x, y, z, t, xi, p, n, m, pair) -> Word:
+def block_swap(w: Word, head: int, tail: int, m: int, pair: tuple[int, int]) -> Word:
     """
-    The block swap behind tau on unsigned words and the length-reducing
-    moves: alt_p(x,y) xi alt_n(-t,..) -> alt_{m-p}(-y,..) d(xi) alt_{m-n}(..,z)
-    and its mirror alt_n(-x,..) xi alt_p(..,t) -> alt_{m-n}(y,..) d(xi)
-    alt_{m-p}(..,-z).  At p + n = m this is tau (m - p = n, m - n = p).
+    Swap the boundary blocks of w = B1 xi B2, of head and tail letters, for
+    B1' delta(xi) B2': B1' has m - head letters, the sign opposite to B1 and
+    starts with the name w does not start with; B2' has m - tail letters,
+    the sign opposite to B2 and ends with the name w does not end with.  An
+    empty B1 takes the sign opposite to B2.  With head + tail = m this is
+    tau; on an over-critical word it is the length-reducing move.
     """
-    dxi = delta_word(xi, pair, m)
-    if positive_first:
-        return alt_starting(-y, -x, m - p) + dxi + alt_ending(z, t, m - n)
-    return alt_starting(y, x, m - n) + dxi + alt_ending(-z, -t, m - p)
+    x, t = name(w[0]), name(w[-1])
+    y, z = pair[0] + pair[1] - x, pair[0] + pair[1] - t
+    sgn = -1 if (w[0] > 0 if head else w[-1] < 0) else 1
+    dxi = delta_word(w[head : len(w) - tail], pair, m)
+    return (
+        alt_starting(sgn * y, sgn * x, m - head) + dxi + alt_ending(-sgn * z, -sgn * t, m - tail)
+    )
 
 
 def tau(c: CriticalWord) -> Word:
     """The tau image of a critical word; an involution, element preserving."""
-    m = c.m
-    if c.form == "unsigned":
-        return _swap_image(c.word[0] > 0, c.x, c.y, c.z, c.t, c.xi, c.p, c.n, m, c.pair)
-
-    sgn = 1 if c.form == "positive" else -1
-    if c.block_at == "whole":
-        return alt_starting(sgn * c.y, sgn * c.x, m)
-    if c.block_at == "start":
-        # alt_m(x,y) xi -> d(xi) alt_m(..,t) with z the name of xi's last letter
-        return delta_word(c.xi, c.pair, m) + alt_ending(sgn * c.t, sgn * c.z, m)
-    # xi alt_m(z,t) -> alt_m(x,y) d(xi)
-    return alt_starting(sgn * c.x, sgn * c.y, m) + delta_word(c.xi, c.pair, m)
+    return block_swap(c.word, c.head, c.tail, c.m, c.pair)
 
 
 def critical_spans(w: Word, label: LabelFn) -> Iterator[tuple[int, int, CriticalWord]]:
-    """All (start, end, classification) of critical subwords of w."""
-    for s in range(len(w)):
-        yield from critical_spans_at(w, s, label, True)
+    """All (start, end, classification) of critical subwords of w, by decreasing end."""
+    for e in range(len(w), 2, -1):
+        yield from critical_spans_at(w, e, label)
 
 
 def critical_spans_at(
-    w: Word, pos: int, label: LabelFn, rightward: bool, last: Optional[int] = None
+    w: Word, pos: int, label: LabelFn, last: Optional[int] = None
 ) -> Iterator[tuple[int, int, CriticalWord]]:
     """
-    Critical subwords starting at index pos by increasing end (rightward),
-    or ending at index pos, exclusive, by decreasing start (leftward); with
-    a letter last (leftward only), the critical x w[s+1:pos], x any letter
-    of the pair, whose tau image ends in last.
+    Critical subwords ending at index pos, exclusive, by decreasing start,
+    read off the runs of w; with a letter last, the critical x w[s+1:pos],
+    x any letter of the pair, whose tau image ends in last.
     """
-    if rightward:
-        for e in range(pos + 3, len(w) + 1):
-            nm = names(w[pos:e])
-            if len(nm) == 2:
-                m = label(*sorted(nm))
-                if m is None:
-                    return
-                c = classify_critical(w[pos:e], m)
-                if c is not None:
-                    yield pos, e, c
-            elif len(nm) > 2:
-                return
-        return
     e, k = pos, pos - 2
     while k >= 0 and abs(w[k]) == abs(w[e - 1]):
         k -= 1
@@ -363,11 +288,7 @@ def locate_overcritical(w: Word, s: int, e: int, m: int) -> OverCriticalMove:
         if (e - b2, e) not in host_runs:
             raise ValueError("final block is not maximal in the host word")
     kind = "positive" if p == m else ("negative" if n == m else "unsigned")
-    x, t = name(sub[0]), name(sub[-1])
-    y = pair[0] if x == pair[1] else pair[1]
-    z = pair[0] if t == pair[1] else pair[1]
-    image = _swap_image(sub[0] > 0, x, y, z, t, sub[b1 : len(sub) - b2], p, n, m, pair)
-    return OverCriticalMove(s, e, p, n, kind, image)
+    return OverCriticalMove(s, e, p, n, kind, block_swap(sub, b1, b2, m, pair))
 
 
 def find_length_reducing_move(w: Word, m: int) -> Optional[OverCriticalMove]:
@@ -440,7 +361,7 @@ def rightward_moves(w: Word, label: LabelFn, end: int, last: int):
     moves, x being w[s] (a start) or the end of an image ending at s + 1.
     """
     seen = set()
-    stack = [(critical_spans_at(w, end, label, False, last), None)]  # (spans, move)
+    stack = [(critical_spans_at(w, end, label, last), None)]  # (spans, move)
     while stack:
         for s, e, c in stack[-1][0]:
             x = c.word[0]
@@ -449,7 +370,7 @@ def rightward_moves(w: Word, label: LabelFn, end: int, last: int):
             if x == w[s]:
                 return [(s, e, tau(c))] + [move for _, move in reversed(stack[1:])]
             seen.add((s, x))
-            stack.append((critical_spans_at(w, s + 1, label, False, x), (s, e, tau(c))))
+            stack.append((critical_spans_at(w, s + 1, label, x), (s, e, tau(c))))
             break
         else:
             stack.pop()
@@ -483,7 +404,7 @@ def leftward_states(w: Word, label: LabelFn, key) -> dict:
     """
     states: dict = {}
     heap: list = []  # (-s, x) of the states still to expand
-    spans, prev, tail = critical_spans_at(w, len(w), label, False), None, ()
+    spans, prev, tail = critical_spans_at(w, len(w), label), None, ()
     while True:
         for s, e, c in spans:
             image = tau(c)
@@ -498,7 +419,7 @@ def leftward_states(w: Word, label: LabelFn, key) -> dict:
         neg, x = heapq.heappop(heap)
         prev = (-neg, x)
         tail = state_suffix(states, prev)[1:]
-        spans = critical_spans_at(w[:-neg] + (x,), 1 - neg, label, False)
+        spans = critical_spans_at(w[:-neg] + (x,), 1 - neg, label)
 
 
 def state_suffix(states: dict, state) -> Word:

@@ -9,7 +9,9 @@ cancellation), and geodesic spellings of one element are connected by
 tau-moves, so the closure of a word contains the full geodesic set of its
 element.  The canonical representative is the shortlex-least word of the
 closure, under the same letter order as the engine so that normal forms are
-directly comparable.
+directly comparable.  The critical subwords are found by classifying every
+slice over two names (:func:`critical_subwords`), not by the run scanner
+the engine's repairs use.
 
 The closure reasoning is itself spot-checked at small scale against a pure
 relator-substitution procedure (replace one side of a defining relation by
@@ -30,11 +32,34 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .critical import LabelFn, apply_tau_at, critical_spans, pair_label_fn
+from . import critical
+from .critical import LabelFn, apply_tau_at, pair_label_fn
 from .presentation import INF, CoxeterPresentation, format_presentation
 from .shortlex import BallBudgetError  # noqa: F401  (raised by Ball; importable from here)
 from .shortlex import CayleyBall, default_order
-from .words import Word, free_reduce, inverse_word, parse_word
+from .words import Word, free_reduce, inverse_word, names, parse_word
+
+
+def critical_subwords(w: Word, label: LabelFn):
+    """
+    Every (start, end, classification) of a critical subword of w, by
+    increasing start and then end: each slice over exactly two names is
+    classified, and a start stops at a third name or an unconstrained pair.
+    The engine reads critical subwords off runs instead; the tests compare.
+    """
+    for s in range(len(w)):
+        for e in range(s + 3, len(w) + 1):
+            nm = names(w[s:e])
+            if len(nm) > 2:
+                break
+            if len(nm) == 2:
+                m = label(*sorted(nm))
+                if m is None:
+                    break
+                # through the module, so that a wrapped classify_critical sees the call
+                c = critical.classify_critical(w[s:e], m)
+                if c is not None:
+                    yield s, e, c
 
 
 class Oracle:
@@ -71,7 +96,7 @@ class Oracle:
         found: Word | None = None
         while frontier:
             cur = frontier.pop()
-            for s, e, c in critical_spans(cur, self.label):
+            for s, e, c in critical_subwords(cur, self.label):
                 nxt = free_reduce(apply_tau_at(cur, s, e, c))
                 if nxt in seen:
                     continue
@@ -167,17 +192,15 @@ class Ball(CayleyBall):
         return {self.inverse(d) for d in self.left_divisors(self.inverse(idx))}
 
     def fact_count(
-        self, g_idx: int, k: int, l: int, restricted: bool = False, permissible=None
+        self, g_idx: int, k: int, l: int, permissible=None
     ) -> tuple[int, list[tuple[int, int]]]:
         """
-        |Fact_{k,l}(g)| and its witness pairs; with restricted=True only
-        pairs accepted by the supplied permissibility predicate (called on
-        the two canonical words) are counted.
+        |Fact_{k,l}(g)| and its witness pairs; with a permissibility
+        predicate (called on the two canonical words) only the pairs it
+        accepts are counted.
         """
         pairs = self.fact_table(k, l).get(g_idx, [])
-        if restricted:
-            if permissible is None:
-                raise ValueError("restricted counting needs a permissible predicate")
+        if permissible is not None:
             pairs = [
                 (u, v) for u, v in pairs if permissible(self.words[u], self.words[v])
             ]

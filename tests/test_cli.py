@@ -93,6 +93,8 @@ def test_error_json(capsys):
     assert code == 2 and payload["type"] == "ValueError"
     code, payload = run_json(capsys, "--preset", "nonesuch.txt", "--json", "nf", "a")
     assert code == 2
+    code, payload = run_json(capsys, "--preset", "nonesuch.txt", "--json", "repro-paper")
+    assert code == 2 and "--preset" in payload["error"]
     code, payload = run_json(
         capsys, "--preset", "counterexample433", "--json", "merge", "ab", "ba"
     )
@@ -115,11 +117,18 @@ def test_error_json(capsys):
         ["--out", "unused", "divisors", "ab", "1", "2"],
         ["--out", "unused", "merge", "ab", "ab"],
         ["--out", "unused", "compress", "ab", "ab"],
+        ["repro-paper"],
+        ["--allow-counterexample", "nf", "ab"],
+        ["--allow-counterexample", "geodesic", "ab"],
+        ["--allow-counterexample", "ball", "2"],
+        ["--allow-counterexample", "d1-scan", "--radius", "2"],
+        ["--allow-counterexample", "rd-check", "--radius", "2"],
     ],
     ids=[
         "ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors",
         "d1-scan-min-kl", "d1-scan-min-kl-empty", "nf-out", "geodesic-out",
-        "divisors-out", "merge-out", "compress-out",
+        "divisors-out", "merge-out", "compress-out", "repro-paper-preset", "nf-allow",
+        "geodesic-allow", "ball-allow", "d1-scan-allow", "rd-check-allow",
     ],
 )
 def test_out_of_range_input(capsys, argv):
@@ -141,6 +150,12 @@ def test_file_system_errors_keep_json_contract(tmp_path, capsys, monkeypatch, vi
         argv = ["--preset", "da3", "--json", "ball", "2"]
     code, payload = run_json(capsys, *argv)
     assert code == 2 and payload["type"] == "FileExistsError"
+
+
+def test_preset_defaults_to_da3(capsys):
+    assert run_json(capsys, "--json", "ball", "3") == run_json(
+        capsys, "--preset", "da3", "--json", "ball", "3"
+    )
 
 
 def test_repro_command(capsys):

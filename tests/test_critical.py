@@ -93,7 +93,7 @@ def test_tau_even_label_with_interior():
     # m = 4: alt_4(c,a) xi with xi = ac maps to delta(xi) (c,a)_4 = ac caca
     m = 4
     c = classify_critical(W("cacaac"), m)
-    assert c is not None and c.form == "positive" and c.block_at == "start"
+    assert c is not None and (c.head, c.tail) == (m, 0)
     assert format_word(tau(c)) == "accaca"
     c2 = classify_critical(W("accaca"), m)
     assert format_word(tau(c2)) == "cacaac"
@@ -110,13 +110,14 @@ def test_classify_rejections():
 
 
 def test_tau_involution_and_element_exhaustive():
-    # every critical word of length <= 7 over two generators, m = 3 and 4
+    # every critical word over two generators of up to 7 letters for m = 3, 4
+    # and up to 9 for m = 6, 7: odd and even m, as delta swaps names for odd m
     from artingeo.oracle import Oracle
 
-    for m in (3, 4):
+    for m, max_len in ((3, 7), (4, 7), (6, 9), (7, 9)):
         oracle = Oracle(CoxeterPresentation.dihedral(m))
         count = 0
-        for w in freely_reduced_words(2, 7):
+        for w in freely_reduced_words(2, max_len):
             c = classify_critical(w, m)
             if c is None:
                 continue
@@ -312,11 +313,12 @@ def pair_heavy_word(rng, pres, length):
 
 @pytest.mark.parametrize("preset", ["triangle345", "triangle444", "counterexample433"])
 def test_span_scanner_matches_brute_force(preset):
-    # at every position, each direction yields exactly the spans starting
-    # (rightward) or ending (leftward) there that classify_critical accepts,
-    # by increasing end or decreasing start respectively
+    # at every end position, the scanner yields exactly the spans ending
+    # there that classify_critical accepts, by decreasing start; the
+    # oracle's enumeration yields every accepted span by increasing start
     import random
 
+    from artingeo.oracle import critical_subwords
     from artingeo.presets import load_preset
 
     pres = load_preset(preset)
@@ -332,11 +334,12 @@ def test_span_scanner_matches_brute_force(preset):
     found = found_free = 0
     for _ in range(12):
         w = pair_heavy_word(rng, pres, rng.randint(20, 40))
+        rightward = []
         for pos in range(len(w) + 1):
             right = [x for e in range(pos + 1, len(w) + 1) for x in accepted(w, pos, e)]
             left = [x for s in range(pos - 1, -1, -1) for x in accepted(w, s, pos)]
-            assert list(critical_spans_at(w, pos, label, True)) == right, (w, pos)
-            assert list(critical_spans_at(w, pos, label, False)) == left, (w, pos)
+            rightward += right
+            assert list(critical_spans_at(w, pos, label)) == left, (w, pos)
             found += len(right)
             # with a last letter: any first letter, tau image ending in it
             for last in pres_letters:
@@ -347,10 +350,34 @@ def test_span_scanner_matches_brute_force(preset):
                     for _, _, c in accepted(w[:s] + (x,) + w[s + 1 :], s, pos)
                     if tau(c)[-1] == last
                 ]
-                assert list(critical_spans_at(w, pos, label, False, last)) == free, (w, pos)
+                assert list(critical_spans_at(w, pos, label, last)) == free, (w, pos)
                 found_free += len(free)
+        assert list(critical_subwords(w, label)) == rightward, w
     assert found > 50  # the words must actually contain critical subwords
     assert found_free > 50
+
+
+@pytest.mark.parametrize(
+    "preset, max_len",
+    [
+        ("triangle345", 6), ("triangle444", 6), ("counterexample433", 6),
+        ("da3", 8), ("da4", 8), ("dainf", 8),
+    ],
+)
+def test_span_scanner_matches_oracle_exhaustive(preset, max_len):
+    # the engine's run scanner and the oracle's slice-and-classify scan find
+    # the same critical subwords on every freely reduced word
+    from artingeo.oracle import critical_subwords
+    from artingeo.presets import load_preset
+
+    pres = load_preset(preset)
+    label = pair_label_fn(pres)
+    found = 0
+    for w in freely_reduced_words(pres.n, max_len):
+        spans = set(critical_spans(w, label))
+        assert spans == set(critical_subwords(w, label)), w
+        found += len(spans)
+    assert (found > 0) == (preset != "dainf")  # an infinite label admits none
 
 
 def test_engine_rejects_out_of_range_letters():

@@ -216,7 +216,7 @@ def test_fact_counts_match_oracle(stash):
             assert set(counts) <= set(ball.sphere(k + l))
             for g in ball.sphere(k + l):
                 want, _ = oracle_ball.fact_count(
-                    oracle_ball.index[ball.words[g]], k, l, True, permissible
+                    oracle_ball.index[ball.words[g]], k, l, permissible
                 )
                 assert counts.get(g, 0) == want, (k, l, ball.words[g])
 

@@ -143,10 +143,8 @@ def test_restricted_fact_counts_are_smaller(stash):
 
     for g in ball.sphere(5)[:10]:
         full, _ = ball.fact_count(g, 2, 3)
-        restr, _ = ball.fact_count(g, 2, 3, restricted=True, permissible=permissible)
+        restr, _ = ball.fact_count(g, 2, 3, permissible=permissible)
         assert restr <= full
-    with pytest.raises(ValueError):
-        ball.fact_count(0, 2, 3, restricted=True)
 
 
 def test_ball_save_load(tmp_path, stash):
