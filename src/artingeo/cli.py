@@ -170,6 +170,9 @@ def cmd_divisors(group, args):
             f"LD'_{i}{j} = {format_word(ldp.word) or '1'} (case {case}"
             + (f", tail letter {format_word((letter,))})" if letter else ")")
         )
+    except HypothesisError as exc:
+        payload["ld_prime_error"] = str(exc)
+        lines.append(f"LD' unavailable: {exc}")
     except OnetailFailure as exc:
         payload["ld_prime_failure"] = sorted(format_word((a,)) for a in exc.letters)
         lines.append(f"LD' failed: tail letters {payload['ld_prime_failure']}")

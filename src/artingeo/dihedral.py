@@ -39,7 +39,7 @@ from .critical import (
     tau,
 )
 from .presentation import INF
-from .shortlex import GroupElement, ShortlexEngine
+from .shortlex import GroupElement, ShortlexEngine, memo
 from .words import (
     Word,
     alt_starting,
@@ -79,10 +79,6 @@ class DihedralContext:
         self.m = m if m is INF else int(m)
         self.engine = engine
         self.pair = (i, j)
-        self._d: dict[Word, int] = {}
-        self._delta: dict[int, GroupElement] = {}
-        self._two_syll: dict[Word, bool] = {}
-        self._perm: dict[tuple[Word, Word], tuple[bool, str]] = {}
 
     # -- words and elements -------------------------------------------------
 
@@ -115,12 +111,10 @@ class DihedralContext:
                 return word
         raise AssertionError("unreachable: both Garside spellings cancel")
 
+    @memo(lambda r=1: r)
     def delta_elem(self, r: int = 1) -> GroupElement:
         """Delta^r as an element, built once per power."""
-        hit = self._delta.get(r)
-        if hit is None:
-            hit = self._delta[r] = self.element(self.delta_power_word(r))
-        return hit
+        return self.element(self.delta_power_word(r))
 
     def delta_word(self, w: Word, power: int = 1) -> Word:
         self._require_finite()
@@ -165,38 +159,23 @@ class DihedralContext:
 
     # -- Garside power and permissibility -------------------------------------
 
+    @memo(lambda g: g.word)
     def garside_power(self, g: GroupElement) -> int:
         """d(g): maximal k with Delta^{±k} dividing the signed element g."""
         self._require_finite()
-        hit = self._d.get(g.word)
-        if hit is not None:
-            return hit
         sign = sign_class(g.word)
         if sign == "unsigned":
             raise ValueError("d(g) is defined for signed elements only")
         eps = 1 if sign == "positive" else -1
-        d = self.engine.strip_power(g, self.delta_elem(-eps), left=True)
-        self._d[g.word] = d
-        return d
+        return self.engine.strip_power(g, self.delta_elem(-eps), left=True)
 
+    @memo(lambda g: g.word)
     def has_two_syllable_spelling(self, g: GroupElement) -> bool:
-        hit = self._two_syll.get(g.word)
-        if hit is None:
-            hit = any(syllable_count(w) <= 2 for w in self.geodesic_words(g))
-            self._two_syll[g.word] = hit
-        return hit
+        return any(syllable_count(w) <= 2 for w in self.geodesic_words(g))
 
+    @memo(lambda g1, g2: (g1.word, g2.word))
     def permissible(self, g1: GroupElement, g2: GroupElement) -> tuple[bool, str]:
         """Membership of (g1, g2) in P(g1 g2), with the accepting clause."""
-        key = (g1.word, g2.word)
-        hit = self._perm.get(key)
-        if hit is not None:
-            return hit
-        res = self._permissible(g1, g2)
-        self._perm[key] = res
-        return res
-
-    def _permissible(self, g1, g2) -> tuple[bool, str]:
         g = g1 * g2
         if len(g) != len(g1) + len(g2):
             return False, "not-geodesic"

@@ -57,7 +57,7 @@ from typing import Optional
 
 from .dihedral import DihedralContext
 from .presentation import CoxeterPresentation, INF
-from .shortlex import ElementBall, GroupElement, ShortlexEngine
+from .shortlex import ElementBall, GroupElement, ShortlexEngine, memo
 from .words import Word, names, syllable_count
 
 
@@ -149,9 +149,6 @@ class ArtinGroup:
         self.pres = pres
         self.engine = ShortlexEngine(pres)
         self.allow_counterexample = allow_counterexample
-        self._dihedral: dict = {}
-        self._balls: dict[int, ElementBall] = {}
-        self._perm: dict[tuple[Word, Word], bool] = {}
 
     # -- delegation -------------------------------------------------------
 
@@ -177,32 +174,27 @@ class ArtinGroup:
     def geodesic_words(self, g) -> frozenset[Word]:
         return self.engine.geodesic_words(g)
 
+    @memo(lambda radius: radius)
     def ball(self, radius: int) -> ElementBall:
-        b = self._balls.get(radius)
-        if b is None:
-            b = ElementBall(self.engine, radius)
-            self._balls[radius] = b
-        return b
+        return ElementBall(self.engine, radius)
 
     def require_33m(self, what: str):
         if not self.pres.satisfies_33m() and not self.allow_counterexample:
             raise HypothesisError(
-                f"{what} needs the no-(3,3,m)-triangle hypothesis; "
-                "pass allow_counterexample=True to run regardless"
+                f"{what} needs the no-(3,3,m)-triangle hypothesis; pass --allow-counterexample "
+                "(allow_counterexample=True in Python) to run regardless"
             )
 
     # -- dihedral subgroup plumbing -------------------------------------------
 
+    @memo(lambda i, j: (min(i, j), max(i, j)))
     def dihedral_ctx(self, i: int, j: int) -> DihedralContext:
         """The calculus of G(i,j) on this group's engine (one context per pair)."""
-        pair = (min(i, j), max(i, j))
-        ctx = self._dihedral.get(pair)
-        if ctx is None:
-            ctx = self._dihedral[pair] = DihedralContext(self.engine, *pair)
-        return ctx
+        return DihedralContext(self.engine, min(i, j), max(i, j))
 
     # -- divisors ----------------------------------------------------------------
 
+    @memo(lambda g, i, j: (g.word, i, j))
     def ld(self, g: GroupElement, i: int, j: int) -> GroupElement:
         """Longest left divisor of g inside G(i,j)."""
         if i == j:
@@ -259,17 +251,9 @@ class ArtinGroup:
 
     # -- permissibility ------------------------------------------------------------
 
+    @memo(lambda g1, g2: (g1.word, g2.word))
     def permissible(self, g1: GroupElement, g2: GroupElement) -> bool:
         """(g1, g2) is geodesic and dihedrally permissible on every pair."""
-        key = (g1.word, g2.word)
-        hit = self._perm.get(key)
-        if hit is not None:
-            return hit
-        res = self._permissible(g1, g2)
-        self._perm[key] = res
-        return res
-
-    def _permissible(self, g1, g2) -> bool:
         if len(g1 * g2) != len(g1) + len(g2):
             return False
         for i, j in self.pres.pairs():

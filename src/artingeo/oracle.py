@@ -36,7 +36,7 @@ from . import critical
 from .critical import LabelFn, apply_tau_at, pair_label_fn
 from .presentation import INF, CoxeterPresentation, format_presentation
 from .shortlex import BallBudgetError  # noqa: F401  (raised by Ball; importable from here)
-from .shortlex import CayleyBall, default_order
+from .shortlex import CayleyBall, default_order, memo
 from .words import Word, free_reduce, inverse_word, names, parse_word
 
 
@@ -76,7 +76,7 @@ class Oracle:
         self.max_len = max_len
         self._rank = {a: r for r, a in enumerate(self.order)}
         self.label: LabelFn = pair_label_fn(pres)
-        self._canon: dict[Word, Word] = {(): ()}
+        self._canon: dict[Word, Word] = {(): ()}  # not @memo: one miss stores its whole closure
 
     def shortlex_key(self, w: Word):
         return (len(w), tuple(self._rank[a] for a in w))
@@ -136,7 +136,6 @@ class Ball(CayleyBall):
 
     def __init__(self, oracle: Oracle, radius: int, max_elements=None, _load=None):
         self.oracle = oracle
-        self._geodesic_words: dict[int, tuple[Word, ...]] = {}
         if _load is not None:
             self._adopt(oracle.pres.n, radius, *_load)
         else:
@@ -155,22 +154,17 @@ class Ball(CayleyBall):
 
     # -- geodesic spellings -------------------------------------------------
 
+    @memo(lambda idx: idx)
     def geodesic_words_of(self, idx: int) -> tuple[Word, ...]:
         """All geodesic spellings of element idx, by backward recursion."""
-        hit = self._geodesic_words.get(idx)
-        if hit is not None:
-            return hit
         if self.length[idx] == 0:
-            out: tuple[Word, ...] = ((),)
-        else:
-            acc: list[Word] = []
-            for a in self.letters:
-                prev = self.step(idx, -a)
-                if prev >= 0 and self.length[prev] == self.length[idx] - 1:
-                    acc.extend(w + (a,) for w in self.geodesic_words_of(prev))
-            out = tuple(sorted(acc))
-        self._geodesic_words[idx] = out
-        return out
+            return ((),)
+        acc: list[Word] = []
+        for a in self.letters:
+            prev = self.step(idx, -a)
+            if prev >= 0 and self.length[prev] == self.length[idx] - 1:
+                acc.extend(w + (a,) for w in self.geodesic_words_of(prev))
+        return tuple(sorted(acc))
 
     def final_letters_of(self, idx: int) -> set[int]:
         return {w[-1] for w in self.geodesic_words_of(idx)}

@@ -20,9 +20,10 @@ append cache, which doubles as the Cayley automaton of the group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .critical import (
     LabelFn,
@@ -35,6 +36,34 @@ from .presentation import CoxeterPresentation
 from .words import Word, format_word, inverse_word, parse_word
 
 LetterOrder = tuple[int, ...]
+
+
+def memo(key: Callable[..., Hashable]):
+    """
+    Per-instance, unbounded method cache: method(self, *args) is kept under
+    key(*args) in self._<method>_memo.  Positional arguments only; errors are
+    not cached and None marks a miss.  Keys are words and ints, never
+    GroupElements: those hash in Python, and held by an engine cache they
+    would make the engine refer to itself, alive until the cyclic GC runs.
+    """
+
+    def wrap(method):
+        slot = f"_{method.__name__}_memo"
+
+        @functools.wraps(method)
+        def cached(self, *args):
+            table = self.__dict__.get(slot)
+            if table is None:
+                table = self.__dict__[slot] = {}
+            k = key(*args)
+            hit = table.get(k)
+            if hit is None:
+                hit = table[k] = method(self, *args)
+            return hit
+
+        return cached
+
+    return wrap
 
 
 def default_order(n: int) -> LetterOrder:
@@ -100,11 +129,9 @@ class ShortlexEngine:
             raise ValueError("order must be a permutation of the 2n letters")
         self._rank = {a: r for r, a in enumerate(self.order)}
         self.label: LabelFn = pair_label_fn(pres)
-        self._append: dict[Word, dict[int, Word]] = {}  # z -> {a: nf(z a)}
-        self._inv: dict[Word, Word] = {}
-        self._geo: dict[Word, frozenset[Word]] = {}
-        self._rdiv: dict[tuple[Word, int], tuple[Word, ...]] = {}
-        self._reordered: dict[tuple[int, int], "ShortlexEngine | None"] = {}
+        self._append: dict[Word, dict[int, Word]] = {}  # z -> {a: nf(z a)}; not @memo: repair fills it
+        self._inv: dict[Word, Word] = {}  # not @memo: one miss stores both directions
+        self._reordered: dict[tuple[int, int], "ShortlexEngine | None"] = {}  # not @memo: None for self
 
     # -- words ----------------------------------------------------------
 
@@ -188,23 +215,16 @@ class ShortlexEngine:
 
     # -- geodesic representatives ------------------------------------------
 
+    @memo(lambda g: g.word)
     def geodesic_words(self, g: GroupElement) -> frozenset[Word]:
         """All geodesic spellings of g (tau-move closure of the normal form)."""
-        hit = self._geo.get(g.word)
-        if hit is None:
-            hit = tau_closure(g.word, self.label)
-            self._geo[g.word] = hit
-        return hit
+        return tau_closure(g.word, self.label)
 
+    @memo(lambda g, j: (g.word, j))
     def right_divisor_words(self, g: GroupElement, j: int) -> tuple[Word, ...]:
         """Normal forms of the length-j right divisors of g, shortlex sorted."""
-        key = (g.word, j)
-        hit = self._rdiv.get(key)
-        if hit is None:
-            seen = {self.nf(w[len(w) - j :]) for w in self.geodesic_words(g)}
-            hit = tuple(sorted(seen, key=self.lex_key))
-            self._rdiv[key] = hit
-        return hit
+        seen = {self.nf(w[len(w) - j :]) for w in self.geodesic_words(g)}
+        return tuple(sorted(seen, key=self.lex_key))
 
     def final_letters(self, g: GroupElement) -> set[int]:
         """Last letters over all geodesic spellings, via length queries."""
@@ -309,7 +329,6 @@ class CayleyBall:
         self._spheres: dict[int, list[int]] = {}
         for idx, L in enumerate(self.length):
             self._spheres.setdefault(L, []).append(idx)
-        self._fact: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
 
     def __len__(self) -> int:
         return len(self.words)
@@ -353,23 +372,19 @@ class CayleyBall:
                 out.append(g)
         return out
 
+    @memo(lambda k, l: (k, l))
     def fact_table(self, k: int, l: int) -> dict[int, list[tuple[int, int]]]:
         """
         Fact_{k,l} buckets: g -> [(u, v)] with u in C_k, v in C_l and uv = g,
         each g's pairs in row-major order.  Ids are breadth-first, so every
         ball of radius >= k + l gives the same table.
         """
-        key = (k, l)
-        hit = self._fact.get(key)
-        if hit is not None:
-            return hit
         if k + l > self.radius:
             raise ValueError("fact_table requires k + l <= radius")
         us, vs = self.sphere(k), self.sphere(l)
         table: dict[int, list[tuple[int, int]]] = {}
         for pair, g in zip(itertools.product(us, vs), self.products(us, vs)):
             table.setdefault(g, []).append(pair)
-        self._fact[key] = table
         return table
 
 

@@ -356,3 +356,59 @@ def test_rightward_sequence_changes_last_letter(g345, stash):
                 assert res[-1] == target and g345.nf(res) == g345.nf(v)
                 checked += 1
     assert checked > 10
+
+
+# -- the per-instance memo ------------------------------------------------------
+
+
+def test_memo_returns_the_stored_object(g345):
+    g = g345.element("acabcb")
+    assert g345.ld(g, 1, 2) is g345.ld(g, 1, 2)
+    assert g345.engine.geodesic_words(g) is g345.engine.geodesic_words(g)
+    assert g345.dihedral_ctx(2, 1) is g345.dihedral_ctx(1, 2)
+    ball = g345.ball(2)
+    assert g345.ball(2) is ball and ball.fact_table(1, 1) is ball.fact_table(1, 1)
+
+
+def test_memo_does_not_cache_errors(stash, g345):
+    ctx = stash.dihedral(3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="signed elements"):
+            ctx.garside_power(ctx.element("aB"))
+        with pytest.raises(ValueError, match="distinct"):
+            g345.ld(g345.element("ab"), 1, 1)
+
+
+def test_memo_keys_are_words(stash):
+    # an element of another group's engine is looked up by its word, and
+    # the answer is an element of the asking group's engine
+    strict = stash.group("counterexample433")
+    loose = stash.group("counterexample433", allow_counterexample=True)
+    g = strict.element("babacabab")
+    assert strict.ld(g, 1, 2).engine is strict.engine
+    ld = loose.ld(g, 1, 2)
+    assert ld.engine is loose.engine and ld.word == strict.ld(g, 1, 2).word
+
+
+def test_dropped_group_is_freed_without_the_cyclic_gc():
+    # no cache may make a group, its engine or a reordered engine refer to
+    # itself: with the cyclic GC off, reference counting alone frees them
+    import gc
+    import weakref
+
+    from artingeo.presets import load_preset
+    from artingeo.sweeps import d1_scan, d2_scan, rd_check
+
+    gc.collect()
+    gc.disable()
+    try:
+        group = ArtinGroup(load_preset("triangle345"))
+        d1_scan(group, 4, (1, 2))
+        d2_scan(group, 3)
+        rd_check(group, 3, 2, 0)
+        engines = [group.engine.reordered(i, j) for i, j in group.pres.pairs()]
+        refs = [weakref.ref(x) for x in [group, group.engine, *engines]]
+        del group, engines
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
