@@ -24,6 +24,9 @@ both (f1, h1) and (h2, f2) stay permissible factorisations:
   (iii) Delta extraction:  h * delta^r(h') = Delta_ij^e, r increases by e,
 
 preferring lower move numbers, then longer h, then shortlex-smaller h.
+Stripping h' needs |h'^-1 f2| = |f2| - |h'|: h' must be a geodesic left
+divisor of f2, read from the memoised set engine.left_divisor_words(f2)
+before any product is formed, so the move order is unchanged.
 While the accumulated middle power Delta_ij^r is nonzero all moves must
 take h, h' inside the active G(i,j); when r = 0 cancellation is
 unrestricted and a Delta move fixes a new active pair (the lexicographically
@@ -149,6 +152,7 @@ class ArtinGroup:
         self.pres = pres
         self.engine = ShortlexEngine(pres)
         self.allow_counterexample = allow_counterexample
+        self._has_33m = pres.satisfies_33m()  # decided once: merge asks on every call
 
     # -- delegation -------------------------------------------------------
 
@@ -179,7 +183,7 @@ class ArtinGroup:
         return ElementBall(self.engine, radius)
 
     def require_33m(self, what: str):
-        if not self.pres.satisfies_33m() and not self.allow_counterexample:
+        if not self._has_33m and not self.allow_counterexample:
             raise HypothesisError(
                 f"{what} needs the no-(3,3,m)-triangle hypothesis; pass --allow-counterexample "
                 "(allow_counterexample=True in Python) to run regardless"
@@ -290,6 +294,8 @@ class ArtinGroup:
         moves try every finite pair, otherwise every move stays inside G(pair).
         """
         f1, _h1, f2, _h2 = state
+        # _strip accepts only an h' in heads: see the module docstring
+        heads = self.engine.left_divisor_words(f2)
 
         def conj(x, ctx):  # delta^r(x): conjugation by Delta^r
             return x if r % 2 == 0 else ctx.element(ctx.delta_word(x.word, r))
@@ -299,7 +305,7 @@ class ArtinGroup:
         for j_len in range(min(len(f1), len(f2)), 0, -1):
             for h in self._right_divisors(f1, j_len, pair):
                 hp = conj(h.inv(), ctx)
-                new = self._strip(state, h, hp)
+                new = hp.word in heads and self._strip(state, h, hp)
                 if new:
                     return ("cancel", h, hp, r, pair, new)
         pairs = [p for p in self.pres.finite_pairs() if pair is None or p == pair]
@@ -308,17 +314,21 @@ class ArtinGroup:
             for p in pairs:
                 for eps in (1, -1):
                     h = self.dihedral_ctx(*p).delta_elem(eps)
-                    new = self._strip(state, h, h)
+                    new = h.word in heads and self._strip(state, h, h)
                     if new:
                         return ("double-delta", h, h, r + 2 * eps, p, new)
-        # (iii) Delta extraction
+        # (iii) Delta extraction: h' is a nontrivial element of G(p)
+        starts = {abs(w[0]) for w in heads if w}
         for p in pairs:
+            if starts.isdisjoint(p):
+                continue
             ctx = self.dihedral_ctx(*p)
+            deltas = ((1, ctx.delta_elem(1)), (-1, ctx.delta_elem(-1)))
             for j_len in range(len(f1), 0, -1):
                 for h in self._right_divisors(f1, j_len, p):
-                    for eps in (1, -1):
-                        hp = conj(h.inv() * ctx.delta_elem(eps), ctx)
-                        if len(hp) == 0:
+                    for eps, delta in deltas:
+                        hp = conj(h.inv() * delta, ctx)
+                        if len(hp) == 0 or hp.word not in heads:
                             continue
                         new = self._strip(state, h, hp)
                         if new:

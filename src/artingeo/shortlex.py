@@ -226,6 +226,20 @@ class ShortlexEngine:
         seen = {self.nf(w[len(w) - j :]) for w in self.geodesic_words(g)}
         return tuple(sorted(seen, key=self.lex_key))
 
+    @memo(lambda g: g.word)
+    def left_divisor_words(self, g: GroupElement) -> frozenset[Word]:
+        """
+        Normal forms of the geodesic left divisors of g, every length: x
+        is one exactly when |x^-1 g| = |g| - |x| (prefixes of geodesics).
+        """
+        heads = {()}
+        for w in self.geodesic_words(g):
+            z: Word = ()
+            for a in w:
+                z = self.append(z, a)
+                heads.add(z)
+        return frozenset(heads)
+
     def final_letters(self, g: GroupElement) -> set[int]:
         """Last letters over all geodesic spellings, via length queries."""
         if not g.word:

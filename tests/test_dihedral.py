@@ -242,8 +242,10 @@ def test_pair_right_divisors_match_oracle(stash, name):
 # 2-generator merge that DihedralContext carried before ArtinGroup.merge
 # became the only merge; the triangle digests pin the multi-generator merge
 # (at max_kl 5, 16 triangle345 mergers end on a Delta power of the label-5
-# pair (2, 3), none at max_kl 4)
+# pair (2, 3), none at max_kl 4), and counterexample433, run with
+# allow_counterexample, pins it where the unique-tail property fails
 MERGE_REFERENCE = {
+    "counterexample433": (4, 4529, "7c857eb8a98261550372bec5a89341ce5160153fa77cc02b712348ca659dee0b"),
     "da3": (6, 6629, "fe72ec4b8dc2875a1a51267c1b55d0e7138639c75ef9174c0ea0fb9c2f3ef150"),
     "da4": (6, 10305, "43a521211d70681164ce5844305ac5217f1bcadfdc9686d6ac0ee54e4c4cfbc4"),
     "dainf": (5, 3241, "7ee778312a996b957de7339c17a72c0df577c40b480c4f3be87796c7d1c37901"),
@@ -255,7 +257,7 @@ MERGE_REFERENCE = {
 @pytest.mark.parametrize("name", sorted(MERGE_REFERENCE))
 def test_merge_matches_reference_digest(stash, name):
     max_kl, count, digest = MERGE_REFERENCE[name]
-    group = stash.group(name)
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
     ball = group.ball(max_kl)
     rows = []
     for k in range(max_kl + 1):

@@ -123,6 +123,25 @@ def test_ld_matches_oracle_divisors(g345, stash):
             assert g345.ld(g, i, j) == g345.element(ball.words[d])
 
 
+@pytest.mark.parametrize("name", ["triangle345", "da4", "dainf", "counterexample433"])
+def test_left_divisor_words_are_the_geodesic_left_divisors(stash, name):
+    # x is listed for f exactly when |x^-1 f| = |f| - |x|, and the length-j
+    # members are the inverses of the length-j right divisors of f^-1
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    engine = group.engine
+    ball = group.ball(4)
+    elements = [ball.element(idx) for idx in range(len(ball))]
+    for f in elements:
+        heads = engine.left_divisor_words(f)
+        for x in elements:
+            if len(x) > len(f):
+                break  # ids are breadth-first
+            assert (x.word in heads) == (len(x.inv() * f) == len(f) - len(x)), (name, f, x)
+        for j in range(len(f) + 1):
+            tails = engine.right_divisor_words(f.inv(), j)
+            assert {w for w in heads if len(w) == j} == {engine.nf(inverse_word(w)) for w in tails}
+
+
 def test_ld_prime_cases(g345):
     g = g345.element("abab")  # inside G(1,2): case 1, LD' = g
     ldp, case, letter = g345.ld_prime(g, 1, 2)
