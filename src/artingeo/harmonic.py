@@ -20,12 +20,16 @@ from below by restricting psi to a ball and power-iterating the restricted
 convolution operator; every Rayleigh quotient encountered is a certified
 lower bound, and estimates are nondecreasing in the radius by warm-starting
 each radius from the previous maximiser.
+
+Both hot kernels (ratio trials, power iteration) scatter-add by np.bincount
+over flat maps of product ids, a fixed number of numpy calls per trial or
+iteration; bincount adds in input order, as np.add.at does, so floats match.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -196,15 +200,18 @@ def star_star_trials(
     ball: ElementBall,
     k: int,
     l: int,
-    m: int,
+    ms: Sequence[int],
     trials: int,
     seed: int,
 ) -> list[dict]:
     """
-    Ratios ||(phi_k * psi_l)_m||_2 / (||phi_k||_2 ||psi_l||_2) over seeded
-    random coefficient vectors and structured adversarial ones.
+    Ratios ||(phi_k * psi_l)_m||_2 / (||phi_k||_2 ||psi_l||_2) for each m in
+    ms, over seeded random coefficient vectors and structured adversarial
+    ones, the same for every m.  Trials are streamed: each outer product is
+    scattered once onto all products uv and each m reads the cells of length
+    m.  Records {"m", "trial", "ratio"} come m by m, in the order of ms.
     """
-    if not 0 <= m <= ball.radius or k + l > ball.radius:
+    if any(not 0 <= m <= ball.radius for m in ms) or k + l > ball.radius:
         raise ValueError("ball too small for the requested triple (k, l, m)")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -212,30 +219,21 @@ def star_star_trials(
     cl = ball.sphere(l)
     if not ck or not cl:
         return []
-    prods = np.array(ball.products(ck, cl), dtype=np.int64).reshape(len(ck), len(cl))
-    mask = np.asarray(ball.length)[prods] == m
-    # position of each masked product among the distinct elements of C_m it hits
-    cells, slot = np.unique(prods[mask], return_inverse=True)
-
-    def ratio(fu: np.ndarray, fv: np.ndarray) -> float:
-        acc = np.zeros(len(cells), dtype=complex)
-        np.add.at(acc, slot, np.outer(fu, fv)[mask])
-        num = np.sqrt(np.sum(np.abs(acc) ** 2))
-        den = np.linalg.norm(fu) * np.linalg.norm(fv)
-        return float(num / den) if den else 0.0
-
+    # position of each product uv, row-major, among the distinct elements it hits
+    cells, slot = np.unique(np.array(ball.products(ck, cl), dtype=np.int64), return_inverse=True)
+    cell_len = np.asarray(ball.length)[cells]
+    picks = [np.flatnonzero(cell_len == m) for m in ms]
     rng = np.random.default_rng(seed)
-    out = []
+    table = []
 
     def record(name, fu, fv):
-        out.append({"trial": name, "ratio": ratio(np.asarray(fu), np.asarray(fv))})
+        acc = _scatter_add(slot, np.outer(fu, fv).ravel(), len(cells))
+        den = np.linalg.norm(fu) * np.linalg.norm(fv)
+        nums = [np.sqrt(np.sum(np.abs(acc[p]) ** 2)) for p in picks]
+        table.append((name, [float(num / den) if den else 0.0 for num in nums]))
 
     record("all-ones", np.ones(len(ck)), np.ones(len(cl)))
-    record(
-        "single-atom",
-        np.eye(1, len(ck), 0).ravel(),
-        np.eye(1, len(cl), 0).ravel(),
-    )
+    record("single-atom", np.eye(1, len(ck), 0).ravel(), np.eye(1, len(cl), 0).ravel())
     multi_k, multi_l = (
         np.array([float(len(group.geodesic_words(ball.element(i))) > 1) for i in ids])
         for ids in (ck, cl)
@@ -246,6 +244,14 @@ def star_star_trials(
         fu = rng.standard_normal(len(ck)) + 1j * rng.standard_normal(len(ck))
         fv = rng.standard_normal(len(cl)) + 1j * rng.standard_normal(len(cl))
         record(f"random-{t}", fu, fv)
+    return [{"m": m, "trial": name, "ratio": rs[i]} for i, m in enumerate(ms) for name, rs in table]
+
+
+def _scatter_add(slots: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """np.add.at(zeros(size, complex), slots, weights) by one bincount per part."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(slots, weights.real, size)
+    out.imag = np.bincount(slots, weights.imag, size)
     return out
 
 
@@ -266,34 +272,28 @@ def operator_norm_profile(phi: GroupFunction, radii: Iterable[int], iterations: 
     operator_norm_estimate over increasing radii.  Each radius is
     warm-started with the previous maximising vector, zero-padded: ball ids
     are breadth-first, so the radius-R ball is an id prefix of every larger
-    one and the reported lower bounds are nondecreasing in R.
+    one and the reported lower bounds are nondecreasing in R.  T x scatters
+    by bincount over the ids of h * v; T* y sums the gathered rows h in order.
     """
     radii = sorted(radii)
     if not phi.coeffs or not radii:
         return [(R, 0.0) for R in radii]
     big = phi.group.ball(max(radii) + max(map(len, phi.coeffs)))
     rows, coeff = phi._on(big)
-    out = []
-    x = None
-    best = 0.0
+    out, x, best = [], None, 0.0
     for R in radii:
         inner = range(bisect_right(big.length, R))
-        # scatter maps: position of h * v in the big ball for each inner v, one row per h
-        prods = np.array(big.products(rows, inner), dtype=np.int64)
-        scatter = list(prods.reshape(len(rows), len(inner)))
+        # scatter map: position of h * v in the big ball, one row per h, one column per inner v
+        scatter = np.array(big.products(rows, inner), dtype=np.int64).reshape(len(rows), len(inner))
         x = np.ones(len(inner), dtype=complex) if x is None else np.pad(x, (0, len(inner) - len(x)))
         for _ in range(iterations):
             nx = np.linalg.norm(x)
             if nx == 0:
                 break
             x = x / nx
-            # y = T x, then x = T* y
-            y = np.zeros(len(big), dtype=complex)
-            for c, sc in zip(coeff, scatter):
-                np.add.at(y, sc, c * x)
+            # y = T x, then x = T* y; both add the rows h in support order
+            y = _scatter_add(scatter.ravel(), (coeff[:, None] * x).ravel(), len(big))
             best = max(best, float(np.linalg.norm(y)))
-            x = np.zeros(len(inner), dtype=complex)
-            for c, sc in zip(coeff, scatter):
-                x += np.conj(c) * y[sc]
+            x = (np.conj(coeff)[:, None] * y[scatter]).sum(axis=0)
         out.append((R, best))
     return out

@@ -26,7 +26,8 @@ both (f1, h1) and (h2, f2) stay permissible factorisations:
 preferring lower move numbers, then longer h, then shortlex-smaller h.
 Stripping h' needs |h'^-1 f2| = |f2| - |h'|: h' must be a geodesic left
 divisor of f2, read from the memoised set engine.left_divisor_words(f2)
-before any product is formed, so the move order is unchanged.
+before any product is formed, and in (iii) the exponent sums of the G(i,j)
+heads fix exp(h) before h^-1 Delta^e is formed, so the move order is unchanged.
 While the accumulated middle power Delta_ij^r is nonzero all moves must
 take h, h' inside the active G(i,j); when r = 0 cancellation is
 unrestricted and a Delta move fixes a new active pair (the lexicographically
@@ -61,7 +62,7 @@ from typing import Optional
 from .dihedral import DihedralContext
 from .presentation import CoxeterPresentation, INF
 from .shortlex import ElementBall, GroupElement, ShortlexEngine, memo
-from .words import Word, names, syllable_count
+from .words import Word, exponent_sum, names, syllable_count
 
 
 def _pair_prefix(w: Word, i: int, j: int) -> Word:
@@ -317,16 +318,19 @@ class ArtinGroup:
                     new = h.word in heads and self._strip(state, h, h)
                     if new:
                         return ("double-delta", h, h, r + 2 * eps, p, new)
-        # (iii) Delta extraction: h' is a nontrivial element of G(p)
-        starts = {abs(w[0]) for w in heads if w}
+        # (iii) Delta extraction: h' is a nontrivial G(p) member of heads; the
+        # exponent sum, kept by delta, of h * delta^r(h') = Delta^e is e m
         for p in pairs:
-            if starts.isdisjoint(p):
-                continue
             ctx = self.dihedral_ctx(*p)
+            sums = {exponent_sum(w) for w in heads if w and names(w) <= set(p)}
+            if not sums:
+                continue
             deltas = ((1, ctx.delta_elem(1)), (-1, ctx.delta_elem(-1)))
             for j_len in range(len(f1), 0, -1):
                 for h in self._right_divisors(f1, j_len, p):
                     for eps, delta in deltas:
+                        if eps * ctx.m - exponent_sum(h.word) not in sums:
+                            continue
                         hp = conj(h.inv() * delta, ctx)
                         if len(hp) == 0 or hp.word not in heads:
                             continue

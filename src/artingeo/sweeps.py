@@ -11,6 +11,8 @@ JSON artifacts.
 from __future__ import annotations
 
 import time
+from itertools import groupby
+from operator import itemgetter
 
 from .harmonic import permissible_fact_sup, star_star_trials
 from .largetype import ArtinGroup, OnetailFailure
@@ -119,11 +121,9 @@ def rd_check(group: ArtinGroup, radius: int, trials: int, seed: int, pres_id="pr
     envelope: dict[int, float] = {}
     for k in range(0, radius + 1):
         for l in range(k, radius - k + 1):
-            for m in range(l - k, k + l + 1):
-                recs = star_star_trials(group, ball, k, l, m, trials, seed)
-                if not recs:
-                    continue
-                best = max(r["ratio"] for r in recs)
+            recs = star_star_trials(group, ball, k, l, range(l - k, k + l + 1), trials, seed)
+            for m, group_recs in groupby(recs, key=itemgetter("m")):
+                best = max(r["ratio"] for r in group_recs)
                 rows.append((pres_id, k, l, m, round(best, 12)))
                 mn = min(k, l)
                 envelope[mn] = max(envelope.get(mn, 0.0), best)

@@ -35,6 +35,11 @@ def names(w: Word) -> set[int]:
     return {abs(a) for a in w}
 
 
+def exponent_sum(w: Word) -> int:
+    """The image of w under the homomorphism sending every generator to 1."""
+    return sum(1 if a > 0 else -1 for a in w)
+
+
 def sign_class(w: Word) -> str:
     """'positive', 'negative' or 'unsigned'; the empty word is 'positive'."""
     has_pos = any(a > 0 for a in w)

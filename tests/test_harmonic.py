@@ -1,5 +1,7 @@
 """Norms, convolution, projections, the convolution inequality, operator norms."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from artingeo.harmonic import (
 from artingeo.largetype import ArtinGroup
 from artingeo.oracle import Oracle
 from artingeo.presets import load_preset
+from artingeo.sweeps import rd_check
 from artingeo.words import parse_word
 
 W = parse_word
@@ -226,15 +229,110 @@ def test_fact_counts_match_oracle(stash):
 
 def test_star_star_trials_properties(da3, ball6):
     # k = 0: convolving with a function on the identity scales, ratio <= 1
-    rows = star_star_trials(da3, ball6, 0, 2, 2, 5, seed=1)
+    rows = star_star_trials(da3, ball6, 0, 2, [2], 5, seed=1)
     assert rows and max(r["ratio"] for r in rows) <= 1.0 + 1e-12
     # m outside [|k-l|, k+l] gives an empty convolution sphere
-    rows = star_star_trials(da3, ball6, 1, 2, 6, 3, seed=1)
+    rows = star_star_trials(da3, ball6, 1, 2, [6], 3, seed=1)
     assert rows and max(r["ratio"] for r in rows) == 0.0
     # determinism under a fixed seed
-    a = star_star_trials(da3, ball6, 2, 2, 2, 10, seed=9)
-    b = star_star_trials(da3, ball6, 2, 2, 2, 10, seed=9)
+    a = star_star_trials(da3, ball6, 2, 2, [2], 10, seed=9)
+    b = star_star_trials(da3, ball6, 2, 2, [2], 10, seed=9)
     assert a == b
+    # one call over every m returns, m by m, the records of the single-m calls
+    k, l = 1, 3
+    ms = range(l - k, k + l + 1)
+    single = [r for m in ms for r in star_star_trials(da3, ball6, k, l, [m], 4, seed=2)]
+    assert star_star_trials(da3, ball6, k, l, ms, 4, seed=2) == single
+    assert [r["m"] for r in single] == [m for m in ms for _ in range(len(single) // len(ms))]
+
+
+def reference_ratios(group, ball, k, l, m, trials, seed):
+    """(trial, ratio) pairs by the per-m np.add.at kernel that bincount replaced."""
+    ck, cl = ball.sphere(k), ball.sphere(l)
+    if not ck or not cl:
+        return []
+    prods = np.array(ball.products(ck, cl), dtype=np.int64).reshape(len(ck), len(cl))
+    mask = np.asarray(ball.length)[prods] == m
+    cells, slot = np.unique(prods[mask], return_inverse=True)
+
+    def ratio(fu, fv):
+        acc = np.zeros(len(cells), dtype=complex)
+        np.add.at(acc, slot, np.outer(fu, fv)[mask])
+        num = np.sqrt(np.sum(np.abs(acc) ** 2))
+        den = np.linalg.norm(fu) * np.linalg.norm(fv)
+        return float(num / den) if den else 0.0
+
+    rng = np.random.default_rng(seed)
+    vecs = [
+        ("all-ones", np.ones(len(ck)), np.ones(len(cl))),
+        ("single-atom", np.eye(1, len(ck), 0).ravel(), np.eye(1, len(cl), 0).ravel()),
+    ]
+    multi_k, multi_l = (
+        np.array([float(len(group.geodesic_words(ball.element(i))) > 1) for i in ids])
+        for ids in (ck, cl)
+    )
+    if multi_k.any() and multi_l.any():
+        vecs.append(("multi-spelling", multi_k, multi_l))
+    for t in range(trials):
+        fu = rng.standard_normal(len(ck)) + 1j * rng.standard_normal(len(ck))
+        fv = rng.standard_normal(len(cl)) + 1j * rng.standard_normal(len(cl))
+        vecs.append((f"random-{t}", fu, fv))
+    return [(name, ratio(fu, fv)) for name, fu, fv in vecs]
+
+
+@pytest.mark.parametrize("name, radius", [("da3", 6), ("triangle345", 4)])
+def test_trial_kernel_matches_add_at_reference(stash, name, radius):
+    # bincount adds each cell's terms in the order np.add.at did: equal floats
+    group = stash.group(name)
+    ball = group.ball(radius)
+    want_rows = []
+    for k in range(radius + 1):
+        for l in range(k, radius - k + 1):
+            ms = range(l - k, k + l + 1)
+            got = star_star_trials(group, ball, k, l, ms, 3, seed=4)
+            want = [(m, t, r) for m in ms for t, r in reference_ratios(group, ball, k, l, m, 3, 4)]
+            assert [(r["m"], r["trial"], r["ratio"]) for r in got] == want, (k, l)
+            for m in ms:
+                best = max((r for mm, _, r in want if mm == m), default=None)
+                if best is not None:
+                    want_rows.append((name, k, l, m, round(best, 12)))
+    assert rd_check(group, radius, 3, 4, name)[0] == want_rows
+
+
+def reference_operator_norms(phi, radii, iterations):
+    """operator_norm_profile by the per-row np.add.at loop that bincount replaced."""
+    big = phi.group.ball(max(radii) + max(map(len, phi.coeffs)))
+    rows, coeff = phi._on(big)
+    out, x, best = [], None, 0.0
+    for R in radii:
+        inner = range(bisect_right(big.length, R))
+        prods = np.array(big.products(rows, inner), dtype=np.int64)
+        scatter = list(prods.reshape(len(rows), len(inner)))
+        x = np.ones(len(inner), dtype=complex) if x is None else np.pad(x, (0, len(inner) - len(x)))
+        for _ in range(iterations):
+            nx = np.linalg.norm(x)
+            if nx == 0:
+                break
+            x = x / nx
+            y = np.zeros(len(big), dtype=complex)
+            for c, sc in zip(coeff, scatter):
+                np.add.at(y, sc, c * x)
+            best = max(best, float(np.linalg.norm(y)))
+            x = np.zeros(len(inner), dtype=complex)
+            for c, sc in zip(coeff, scatter):
+                x += np.conj(c) * y[sc]
+        out.append((R, best))
+    return out
+
+
+def test_operator_norm_kernel_matches_add_at_reference(stash, da3, ball6):
+    # a complex phi on two spheres, warm-started over three radii, and dainf
+    rng = np.random.default_rng(8)
+    phi = random_function(da3, ball6, ball6.sphere(1) + ball6.sphere(2), rng)
+    assert operator_norm_profile(phi, [2, 3, 4], 25) == reference_operator_norms(phi, [2, 3, 4], 25)
+    free = stash.group("dainf")
+    chi = GroupFunction.sphere_indicator(free, free.ball(1), 1)
+    assert operator_norm_profile(chi, [2, 4], 30) == reference_operator_norms(chi, [2, 4], 30)
 
 
 def test_operator_norm_atom_and_scaling(da3):
