@@ -43,6 +43,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from .presentation import INF, MatrixEntry
 from .words import (
     Word,
     alt_ending,
@@ -54,19 +55,8 @@ from .words import (
     runs,
 )
 
-# label(b1, b2) -> finite label as int, or None when the pair is unconstrained
-LabelFn = Callable[[int, int], Optional[int]]
-
-
-def pair_label_fn(pres) -> LabelFn:
-    """Adapt a CoxeterPresentation to the label callback used here."""
-    from .presentation import INF
-
-    def label(n1: int, n2: int) -> Optional[int]:
-        m = pres.label(n1, n2)
-        return None if m is INF else int(m)
-
-    return label
+# label(b1, b2) -> the pair's label, an int or INF (unconstrained): CoxeterPresentation.label
+LabelFn = Callable[[int, int], MatrixEntry]
 
 
 def delta_letter(a: int, pair: tuple[int, int], m: int) -> int:
@@ -124,9 +114,9 @@ class CriticalWord:
     tail: int
 
 
-def classify_critical(w: Word, m: Optional[int]) -> Optional[CriticalWord]:
-    """Classify w as a critical word for label m, or return None."""
-    if m is None or len(w) < m or not is_freely_reduced(w):
+def classify_critical(w: Word, m: MatrixEntry) -> Optional[CriticalWord]:
+    """Classify w as a critical word for label m, or return None (always for INF)."""
+    if len(w) < m or not is_freely_reduced(w):
         return None
     nm = sorted(names(w))
     if len(nm) != 2:
@@ -189,11 +179,11 @@ def critical_spans_at(
     e, k = pos, pos - 2
     while k >= 0 and abs(w[k]) == abs(w[e - 1]):
         k -= 1
-    if k < 0 or label(*sorted((abs(w[k]), abs(w[e - 1])))) is None:
+    m = label(abs(w[k]), abs(w[e - 1])) if k >= 0 else INF
+    if m is INF:
         return  # a single name, or an unconstrained pair
     other, sign = abs(w[k]), w[e - 1] > 0
     i, j = sorted((other, abs(w[e - 1])))
-    m = label(i, j)
     # critical: boundary blocks are whole runs <= m, interior runs <= their sign's block
     same = opp = 0  # longest interior run signed like w[e - 1], and not
     hs, ts = e, None  # end of the first run of w[r:e], start of its last run
@@ -314,7 +304,7 @@ def find_length_reducing_move(w: Word, m: int) -> Optional[OverCriticalMove]:
     return None
 
 
-def reduce_2gen(w: Word, m: Optional[int]) -> tuple[Word, list[dict]]:
+def reduce_2gen(w: Word, m: MatrixEntry) -> tuple[Word, list[dict]]:
     """
     Reduce a 2-generator word to a geodesic one, logging every step.
     Free reduction entries have kind 'free'; tau entries carry the move kind.
@@ -324,8 +314,6 @@ def reduce_2gen(w: Word, m: Optional[int]) -> tuple[Word, list[dict]]:
     if not is_freely_reduced(cur):
         cur = free_reduce(cur)
         log.append({"kind": "free", "result_len": len(cur)})
-    if m is None:
-        return cur, log
     while True:
         p, n = pn_values(cur, m)
         if p + n <= m:

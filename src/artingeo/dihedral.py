@@ -75,8 +75,7 @@ class DihedralContext:
     """G(i,j) on the engine of its parent group; m = inf gives a free pair."""
 
     def __init__(self, engine: ShortlexEngine, i: int, j: int):
-        m = engine.pres.label(i, j)
-        self.m = m if m is INF else int(m)
+        self.m = engine.pres.label(i, j)
         self.engine = engine
         self.pair = (i, j)
 
@@ -123,15 +122,10 @@ class DihedralContext:
     # -- geodesics -----------------------------------------------------------
 
     def pn(self, w: Word) -> tuple[int, int]:
-        if self.m is INF:
-            p, n = pn_values(w, len(w) + 1)
-            return p, n
         return pn_values(w, self.m)
 
     def geodesic_status(self, w: Word) -> tuple[bool, bool]:
         """(is geodesic, is the unique geodesic spelling of its element)."""
-        if self.m is INF:
-            return True, True
         p, n = self.pn(w)
         return p + n <= self.m, p + n < self.m
 
@@ -139,8 +133,6 @@ class DihedralContext:
         return self.geodesic_status(w)[0]
 
     def classify_critical(self, w: Word) -> Optional[CriticalWord]:
-        if self.m is INF:
-            return None
         return classify_critical(w, self.m)
 
     def tau(self, w: Word) -> Word:
@@ -151,8 +143,7 @@ class DihedralContext:
 
     def reduce(self, w: Word) -> tuple[Word, list[dict]]:
         """Reduce to a geodesic spelling; the log lists every move applied."""
-        m = None if self.m is INF else self.m
-        return reduce_2gen(w, m)
+        return reduce_2gen(w, self.m)
 
     def geodesic_words(self, g: GroupElement) -> frozenset[Word]:
         return self.engine.geodesic_words(g)

@@ -7,8 +7,9 @@ longest left divisor LD_ij(g) in G(i,j) and a unique longest right divisor
 RD_ij(g); LD is computed by re-reducing under a letter order that lists the
 letters of names i and j first and taking the maximal {i,j}-prefix of the
 resulting normal form, RD by inverting.  G(i,j) is reached through
-dihedral_ctx(i, j): parabolic subgroups are convex, so the dihedral calculus
-runs on this group's own engine and letters, with no renaming.
+dihedral_ctx(i, j), a lookup in the table of contexts the group builds once
+(finite labels first): parabolic subgroups are convex, so the dihedral
+calculus runs on this group's own engine and letters, with no renaming.
 
 A geodesic factorisation (g1, g2) is *permissible* when the dihedral pair
 (RD_ij(g1), LD_ij(g2)) is permissible in G(i,j) for every pair i < j.
@@ -154,6 +155,12 @@ class ArtinGroup:
         self.engine = ShortlexEngine(pres)
         self.allow_counterexample = allow_counterexample
         self._has_33m = pres.satisfies_33m()  # decided once: merge asks on every call
+        # one G(i,j) context per pair, finite labels first, each part in lexicographic order
+        self._contexts = {
+            p: DihedralContext(self.engine, *p)
+            for p in sorted(pres.pairs(), key=lambda p: pres.label(*p) is INF)
+        }
+        self._finite = [ctx for ctx in self._contexts.values() if ctx.m is not INF]
 
     # -- delegation -------------------------------------------------------
 
@@ -192,10 +199,9 @@ class ArtinGroup:
 
     # -- dihedral subgroup plumbing -------------------------------------------
 
-    @memo(lambda i, j: (min(i, j), max(i, j)))
     def dihedral_ctx(self, i: int, j: int) -> DihedralContext:
         """The calculus of G(i,j) on this group's engine (one context per pair)."""
-        return DihedralContext(self.engine, min(i, j), max(i, j))
+        return self._contexts[(i, j) if i < j else (j, i)]
 
     # -- divisors ----------------------------------------------------------------
 
@@ -261,19 +267,16 @@ class ArtinGroup:
         """(g1, g2) is geodesic and dihedrally permissible on every pair."""
         if len(g1 * g2) != len(g1) + len(g2):
             return False
-        for i, j in self.pres.pairs():
-            if self.pres.label(i, j) is INF:
-                continue  # free pair: geodesic factorisations are all allowed
-            ctx = self.dihedral_ctx(i, j)
-            if not ctx.permissible(self.rd(g1, i, j), self.ld(g2, i, j))[0]:
+        for ctx in self._finite:  # on a free pair every geodesic factorisation is allowed
+            if not ctx.permissible(self.rd(g1, *ctx.pair), self.ld(g2, *ctx.pair))[0]:
                 return False
         return True
 
     # -- merging ----------------------------------------------------------------------
 
-    def _right_divisors(self, f: GroupElement, length: int, pair):
-        """Length-`length` right divisors of f, inside G(pair) unless pair is None."""
-        source = self.engine if pair is None else self.dihedral_ctx(*pair)
+    def _right_divisors(self, f: GroupElement, length: int, ctx):
+        """Length-`length` right divisors of f, inside G(ctx.pair) unless ctx is None."""
+        source = ctx or self.engine
         return [GroupElement(self.engine, w) for w in source.right_divisor_words(f, length)]
 
     def _strip(self, state, h, hp):
@@ -304,30 +307,30 @@ class ArtinGroup:
         # (i) cancellation
         ctx = self.dihedral_ctx(*pair) if pair else None
         for j_len in range(min(len(f1), len(f2)), 0, -1):
-            for h in self._right_divisors(f1, j_len, pair):
+            for h in self._right_divisors(f1, j_len, ctx):
                 hp = conj(h.inv(), ctx)
                 new = hp.word in heads and self._strip(state, h, hp)
                 if new:
                     return ("cancel", h, hp, r, pair, new)
-        pairs = [p for p in self.pres.finite_pairs() if pair is None or p == pair]
+        # Delta moves on the finite pairs; an infinite active pair admits none
+        ctxs = [c for c in self._finite if pair in (None, c.pair)]
         # (ii) double Delta, both sides signed
         if f1.sign != "unsigned" and f2.sign != "unsigned":
-            for p in pairs:
+            for ctx in ctxs:
                 for eps in (1, -1):
-                    h = self.dihedral_ctx(*p).delta_elem(eps)
+                    h = ctx.delta_elem(eps)
                     new = h.word in heads and self._strip(state, h, h)
                     if new:
-                        return ("double-delta", h, h, r + 2 * eps, p, new)
+                        return ("double-delta", h, h, r + 2 * eps, ctx.pair, new)
         # (iii) Delta extraction: h' is a nontrivial G(p) member of heads; the
         # exponent sum, kept by delta, of h * delta^r(h') = Delta^e is e m
-        for p in pairs:
-            ctx = self.dihedral_ctx(*p)
-            sums = {exponent_sum(w) for w in heads if w and names(w) <= set(p)}
+        for ctx in ctxs:
+            sums = {exponent_sum(w) for w in heads if w and names(w) <= set(ctx.pair)}
             if not sums:
                 continue
             deltas = ((1, ctx.delta_elem(1)), (-1, ctx.delta_elem(-1)))
             for j_len in range(len(f1), 0, -1):
-                for h in self._right_divisors(f1, j_len, p):
+                for h in self._right_divisors(f1, j_len, ctx):
                     for eps, delta in deltas:
                         if eps * ctx.m - exponent_sum(h.word) not in sums:
                             continue
@@ -336,7 +339,7 @@ class ArtinGroup:
                             continue
                         new = self._strip(state, h, hp)
                         if new:
-                            return ("delta-extract", h, hp, r + eps, p, new)
+                            return ("delta-extract", h, hp, r + eps, ctx.pair, new)
         return None
 
     def merge(self, g1: GroupElement, g2: GroupElement) -> MergerTriple:
@@ -399,7 +402,7 @@ class ArtinGroup:
         if self._find_merge_move(state, r, pair) is not None:
             events.append(f"{tag}: inner triple admits a further move")
 
-    def split_s(self, st: STResult, g: GroupElement, k: int, l: int) -> SDecomposition:
+    def split_s(self, st: STResult, g: GroupElement) -> SDecomposition:
         """Classify every triple of S(g,k,l) into S0, S1 or S2 with witnesses."""
         out = SDecomposition()
         for key in sorted(st.triples, key=repr):
@@ -426,10 +429,7 @@ class ArtinGroup:
 
     def _choose_pair_r0(self, t: MergerTriple):
         """The r = 0 pair choice: lexicographically least, finite labels first."""
-        ordered = list(self.pres.finite_pairs()) + [
-            p for p in self.pres.pairs() if self.pres.label(*p) is INF
-        ]
-        for i, j in ordered:
+        for i, j in self._contexts:
             if len(names(self.rd(t.f1, i, j).word) | names(self.ld(t.f2, i, j).word)) > 1:
                 return i, j
         return None

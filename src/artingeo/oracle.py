@@ -33,7 +33,7 @@ import hashlib
 import json
 
 from . import critical
-from .critical import LabelFn, apply_tau_at, pair_label_fn
+from .critical import LabelFn, apply_tau_at
 from .presentation import INF, CoxeterPresentation, format_presentation
 from .shortlex import BallBudgetError  # noqa: F401  (raised by Ball; importable from here)
 from .shortlex import CayleyBall, default_order, memo
@@ -53,8 +53,8 @@ def critical_subwords(w: Word, label: LabelFn):
             if len(nm) > 2:
                 break
             if len(nm) == 2:
-                m = label(*sorted(nm))
-                if m is None:
+                m = label(*nm)
+                if m is INF:
                     break
                 # through the module, so that a wrapped classify_critical sees the call
                 c = critical.classify_critical(w[s:e], m)
@@ -75,7 +75,7 @@ class Oracle:
         self.order = default_order(pres.n)
         self.max_len = max_len
         self._rank = {a: r for r, a in enumerate(self.order)}
-        self.label: LabelFn = pair_label_fn(pres)
+        self.label: LabelFn = pres.label
         self._canon: dict[Word, Word] = {(): ()}  # not @memo: one miss stores its whole closure
 
     def shortlex_key(self, w: Word):
@@ -275,7 +275,7 @@ def relator_closure(
     """
     if slack is None:
         m = pres.max_finite_label()
-        slack = 0 if m is INF else int(m)
+        slack = 0 if m is INF else m
     cap = len(word) + slack
     relators: list[tuple[Word, Word]] = []
     for i, j in pres.finite_pairs():

@@ -5,7 +5,8 @@ A presentation is a symmetric n x n matrix over {1, 2, 3, ...} u {inf} with
 1 on the diagonal and entries >= 2 elsewhere.  Label m between generators i
 and j imposes the relation alt(i,j,m) = alt(j,i,m); an infinite label imposes
 no relation.  Infinity is represented by ``math.inf`` so that comparisons
-against integer thresholds just work.
+against integer thresholds just work; every label is stored as an int or
+as the ``INF`` object itself, so ``label is INF`` decides a free pair.
 """
 
 from __future__ import annotations
@@ -46,10 +47,13 @@ class CoxeterPresentation:
                 if self.m[i][j] != self.m[j][i]:
                     raise PresentationError(f"matrix not symmetric at ({i},{j})")
                 entry = self.m[i][j]
-                if entry is not INF and (entry != int(entry) or entry < 2):
+                if entry != INF and (entry < 2 or entry != int(entry)):
                     raise PresentationError(
                         f"off-diagonal entries must be integers >= 2 or inf, got {entry}"
                     )
+        # one encoding per label: 4.0 is stored as 4, any float infinity as INF
+        rows = tuple(tuple(INF if x == INF else int(x) for x in row) for row in self.m)
+        object.__setattr__(self, "m", rows)
 
     @staticmethod
     def from_labels(n: int, labels: dict[tuple[int, int], MatrixEntry]) -> "CoxeterPresentation":
@@ -103,11 +107,8 @@ class CoxeterPresentation:
         if not self.is_large():
             return False
         for i, j, k in combinations(range(1, self.n + 1), 3):
-            labels = sorted(
-                (self.label(i, j), self.label(i, k), self.label(j, k)),
-                key=lambda x: (x is INF, x),
-            )
-            if labels[0] == 3 and labels[1] == 3 and labels[2] is not INF:
+            low, mid, top = sorted((self.label(i, j), self.label(i, k), self.label(j, k)))
+            if low == mid == 3 and top is not INF:
                 return False
         return True
 
@@ -127,7 +128,7 @@ class CoxeterPresentation:
         m = self.label(i, j)
         if m is INF:
             raise ValueError(f"no relation between generators {i} and {j}")
-        return alt_starting(i, j, int(m)), alt_starting(j, i, int(m))
+        return alt_starting(i, j, m), alt_starting(j, i, m)
 
 
 # -- presentation files ------------------------------------------------
@@ -187,5 +188,5 @@ def load_presentation(path) -> CoxeterPresentation:
 def format_presentation(pres: CoxeterPresentation) -> str:
     lines = [f"n = {pres.n}", "matrix ="]
     for row in pres.m:
-        lines.append(" ".join("inf" if x is INF else str(int(x)) for x in row))
+        lines.append(" ".join("inf" if x is INF else str(x) for x in row))
     return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .critical import (
     LabelFn,
     leftward_lex_reduction,
-    pair_label_fn,
     rightward_length_reduction,
     tau_closure,
 )
@@ -128,7 +127,7 @@ class ShortlexEngine:
         if sorted(self.order) != sorted(default_order(pres.n)):
             raise ValueError("order must be a permutation of the 2n letters")
         self._rank = {a: r for r, a in enumerate(self.order)}
-        self.label: LabelFn = pair_label_fn(pres)
+        self.label: LabelFn = pres.label
         self._append: dict[Word, dict[int, Word]] = {}  # z -> {a: nf(z a)}; not @memo: repair fills it
         self._inv: dict[Word, Word] = {}  # not @memo: one miss stores both directions
         self._reordered: dict[tuple[int, int], "ShortlexEngine | None"] = {}  # not @memo: None for self

@@ -67,7 +67,7 @@ def d2_scan(group: ArtinGroup, radius: int, pres_id="pres"):
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     m = group.pres.max_finite_label()
-    kfac = 1 if m is INF else int(m) - 1  # the merger constant K
+    kfac = 1 if m is INF else m - 1  # the merger constant K
     rows = []
     events: list[str] = []
     for k in range(0, radius + 1):
@@ -78,7 +78,7 @@ def d2_scan(group: ArtinGroup, radius: int, pres_id="pres"):
                 st = group.build_s_t(g, k, l)
                 if st.size == 0:
                     continue
-                dec = group.split_s(st, g, k, l)
+                dec = group.split_s(st, g)
                 events.extend(dec.events)
                 bound_ok = st.max_r <= min(k, l) and st.max_h <= kfac * min(k, l)
                 q_ok = all(

@@ -12,7 +12,6 @@ from artingeo.critical import (
     leftward_lex_reduction,
     leftward_states,
     locate_overcritical,
-    pair_label_fn,
     pn_values,
     reduce_2gen,
     rightward_length_reduction,
@@ -21,7 +20,7 @@ from artingeo.critical import (
     tau,
     tau_closure,
 )
-from artingeo.presentation import CoxeterPresentation
+from artingeo.presentation import INF, CoxeterPresentation
 from artingeo.words import format_word, free_reduce, is_freely_reduced, names, parse_word
 
 from conftest import freely_reduced_words
@@ -103,7 +102,7 @@ def test_classify_rejections():
     assert classify_critical(W("ab"), 3) is None  # p + n < m
     assert classify_critical(W("abaB"), 3) is None  # p + n > m
     assert classify_critical(W("abab"), 3) is None  # two length-3 windows
-    assert classify_critical(W("aab"), None) is None  # unconstrained pair
+    assert classify_critical(W("aab"), INF) is None  # unconstrained pair
     assert classify_critical(W("aba"), 4) is None
     # the length-m window must sit at an end of the word
     assert classify_critical(W("aabaa"), 3) is None
@@ -208,14 +207,14 @@ def test_reduce_unsigned_only_when_strictly_between():
 
 def test_chain_search_worked_example():
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
-    label = pair_label_fn(pres)
+    label = pres.label
     res = rightward_length_reduction(W("aBBAcbbCBacaacA"), label)
     assert res == W("BAACBccbaccac")
 
 
 def test_chain_searches_on_geodesics():
     pres = CoxeterPresentation.dihedral(3)
-    label = pair_label_fn(pres)
+    label = pres.label
     # geodesic words admit no rightward reduction
     assert rightward_length_reduction(W("aba"), label) is None
     assert rightward_length_reduction(W("abba"), label) is None
@@ -228,7 +227,7 @@ def test_chain_searches_on_geodesics():
 
 def test_tau_closure_geodesic_sets():
     pres = CoxeterPresentation.dihedral(3)
-    label = pair_label_fn(pres)
+    label = pres.label
     assert tau_closure(W("aba"), label) == {W("aba"), W("bab")}
     assert tau_closure(W("ab"), label) == {W("ab")}
     assert tau_closure(W("abbA"), label) == {W("abbA"), W("Baab")}
@@ -236,7 +235,7 @@ def test_tau_closure_geodesic_sets():
 
 def test_critical_spans_enumeration():
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
-    label = pair_label_fn(pres)
+    label = pres.label
     w = W("aBBAcbbCBacaacA")
     spans = [(s, e) for s, e, _ in critical_spans(w, label)]
     assert (0, 4) in spans  # the first moved subword of the worked sequence
@@ -246,7 +245,7 @@ def test_critical_spans_enumeration():
 
 def test_rightward_sequence_trace():
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
-    label = pair_label_fn(pres)
+    label = pres.label
     w = W("aBBAcbbCBacaacA")
     word, moves = first_cancelling_chain(w, label)
     assert free_reduce(word) == rightward_length_reduction(w, label) == W("BAACBccbaccac")
@@ -257,7 +256,7 @@ def test_rightward_sequence_trace():
 def test_long_rightward_chain_is_iterative():
     # a chain of 1,500 tau-moves: far deeper than the interpreter's
     # recursion limit, so only an iterative walker gets through it
-    label = pair_label_fn(CoxeterPresentation.dihedral(3))
+    label = CoxeterPresentation.dihedral(3).label
     w = W("a" * 1500 + "baab" * 750 + "A")
     word, moves = first_cancelling_chain(w, label)
     assert len(free_reduce(word)) == len(w) - 2 == 4499
@@ -270,7 +269,7 @@ def test_long_rightward_chain_memory():
     # of the 4,501-letter word per state
     import tracemalloc
 
-    label = pair_label_fn(CoxeterPresentation.dihedral(3))
+    label = CoxeterPresentation.dihedral(3).label
     w = W("a" * 1500 + "baab" * 750 + "A")
     tracemalloc.start()
     try:
@@ -286,7 +285,7 @@ def test_long_rightward_chain_memory():
 @pytest.mark.parametrize("rightward", [True, False])
 def test_critical_chains_overlap_in_one_letter(rightward):
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 3, (1, 3): 4, (2, 3): 5})
-    label = pair_label_fn(pres)
+    label = pres.label
     w = W("aBBAcbbCBacaacA")
     if rightward:
         states = rightward_chain_states(w, label, len(w) - 1, -w[-1])
@@ -322,7 +321,7 @@ def test_span_scanner_matches_brute_force(preset):
     from artingeo.presets import load_preset
 
     pres = load_preset(preset)
-    label = pair_label_fn(pres)
+    label = pres.label
 
     def accepted(w, s, e):
         nm = sorted(names(w[s:e]))
@@ -371,7 +370,7 @@ def test_span_scanner_matches_oracle_exhaustive(preset, max_len):
     from artingeo.presets import load_preset
 
     pres = load_preset(preset)
-    label = pair_label_fn(pres)
+    label = pres.label
     found = 0
     for w in freely_reduced_words(pres.n, max_len):
         spans = set(critical_spans(w, label))

@@ -7,6 +7,7 @@ import pytest
 
 from artingeo.harmonic import (
     GroupFunction,
+    _norm,
     operator_norm_estimate,
     operator_norm_profile,
     permissible_fact_counts,
@@ -43,6 +44,16 @@ def test_norm_examples(da3, ball6):
     assert abs(l2 - 5.0) < 1e-12 and abs(s0 - l2) < 1e-12
     with pytest.raises(ValueError):
         phi.sobolev_norm(-1)
+
+
+def test_vector_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for size in (0, 1, 2, 17, 1000):
+        real = rng.standard_normal(size)
+        complex_ = real + 1j * rng.standard_normal(size)
+        for x in (real, complex_, np.ones(size), complex_[::3], complex_.imag):
+            assert _norm(x) == np.linalg.norm(x)
+            assert type(_norm(x)) is type(np.linalg.norm(x))
 
 
 def test_coefficients_merge_by_normal_form(da3):

@@ -9,6 +9,7 @@ from artingeo.largetype import (
     OnetailFailure,
     STResult,
 )
+from artingeo.presentation import INF, CoxeterPresentation
 from artingeo.words import inverse_word, parse_word, syllable_count
 
 from conftest import freely_reduced_words, merge_row, rename
@@ -27,8 +28,6 @@ def g444(stash):
 
 
 def test_engine_requires_large_type():
-    from artingeo.presentation import CoxeterPresentation
-
     with pytest.raises(ValueError):
         ArtinGroup(CoxeterPresentation.dihedral(2))
 
@@ -59,7 +58,6 @@ def test_is_geodesic_matches_oracle_small(g345, stash):
 def test_engine_oracle_agree_on_555():
     # normal-form equality coincides with oracle equality at length <= 6
     from artingeo.oracle import Oracle
-    from artingeo.presentation import CoxeterPresentation
 
     pres = CoxeterPresentation.from_labels(3, {(1, 2): 5, (1, 3): 5, (2, 3): 5})
     group = ArtinGroup(pres)
@@ -258,7 +256,7 @@ def test_build_s_t_and_bounds(g345):
 def test_split_s_classification(g345):
     g = g345.element("ab")
     st = g345.build_s_t(g, 2, 2)
-    dec = g345.split_s(st, g, 2, 2)
+    dec = g345.split_s(st, g)
     assert dec.events == []
     assert len(dec.all()) == st.size
     for w in dec.s0:
@@ -279,7 +277,7 @@ def test_split_s_flags_non_mergers(g345):
         g1, g2 = g345.element(w1), g345.element(w2)
         t = MergerTriple(g1, None, 0, g2, g345.identity, g345.identity, ())
         st = STResult({t.key(): t}, set(), 0, 0)
-        dec = g345.split_s(st, g1 * g2, len(g1), len(g2))
+        dec = g345.split_s(st, g1 * g2)
         assert any(e.endswith("inner triple admits a further move") for e in dec.events)
 
 
@@ -291,7 +289,7 @@ def test_split_s_sweep_small(g444):
             st = g444.build_s_t(g, k, l)
             if st.size == 0:
                 continue
-            dec = g444.split_s(st, g, k, l)
+            dec = g444.split_s(st, g)
             assert dec.events == [], (g, k, l, dec.events)
 
 
@@ -431,3 +429,29 @@ def test_dropped_group_is_freed_without_the_cyclic_gc():
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+# -- four generators --------------------------------------------------------------
+
+FOUR_GENERATOR_LABELS = {
+    "extra-large": {(1, 2): 4, (1, 3): 4, (1, 4): 5, (2, 3): 4, (2, 4): 4, (3, 4): 6},
+    # both spellings of an infinite label, so (1, 3) and (2, 4) are free pairs
+    "two-free-pairs": {(1, 2): 4, (1, 3): INF, (1, 4): 5, (2, 3): 4, (2, 4): float("inf"), (3, 4): 6},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_GENERATOR_LABELS))
+def test_four_generators_engine_oracle_and_scans(name):
+    from artingeo.oracle import Ball, Oracle
+    from artingeo.sweeps import d1_scan, d2_scan
+
+    group = ArtinGroup(CoxeterPresentation.from_labels(4, FOUR_GENERATOR_LABELS[name]))
+    engine_ball = group.ball(4)
+    oracle_ball = Ball(Oracle(group.pres), 4)
+    assert engine_ball.words == oracle_ball.words
+    assert engine_ball.adj == oracle_ball.adj
+    rows, _ = d1_scan(group, 4)
+    assert rows and all(value >= 1 for *_, value in rows)
+    # the r = 0 inner-merger check hands _find_merge_move a free pair here
+    rows, summary = d2_scan(group, 2)
+    assert rows and summary["events"] == [] and summary["all_bounds_ok"]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from artingeo.presentation import (
@@ -40,6 +41,21 @@ def test_free_and_infinite_labels():
     z = CoxeterPresentation.from_labels(1, {})
     assert z.is_free()
     assert CoxeterPresentation.dihedral(INF).is_free()
+
+
+@pytest.mark.parametrize("inf", [float("inf"), np.inf])
+def test_float_infinity_is_stored_as_inf(inf):
+    p = CoxeterPresentation.from_labels(2, {(1, 2): inf})
+    assert p.m[0][1] is INF and p.m[1][0] is INF
+    assert p.is_free()
+    assert format_presentation(p) == format_presentation(CoxeterPresentation.dihedral(INF))
+
+
+def test_integral_float_label_is_stored_as_int():
+    p = CoxeterPresentation.from_labels(2, {(1, 2): 4.0})
+    assert type(p.label(1, 2)) is int and p.label(1, 2) == 4
+    assert format_presentation(p) == "n = 2\nmatrix =\n1 4\n4 1\n"
+    assert p == CoxeterPresentation.dihedral(4)
 
 
 def test_malformed_matrices():
