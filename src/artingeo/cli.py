@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +35,6 @@ from .presets import PRESET_NAMES, resolve_presentation
 from .sweeps import d1_scan, d2_scan, rd_check, repro_paper
 from .words import format_word, parse_word
 
-CACHE_ENV = "ARTINGEO_CACHE"
 OUT_COMMANDS = ("ball", "d1-scan", "d2-scan", "rd-check", "repro-paper")
 COUNTEREXAMPLE_COMMANDS = ("divisors", "merge", "compress", "d2-scan")
 
@@ -119,24 +117,6 @@ def cmd_ball(group, args):
     payload = {"radius": args.radius, "sphere_sizes": {str(k): v for k, v in sizes.items()}}
     lines = [f"|C_{k}| = {v}" for k, v in sizes.items()]
     lines.append(f"ball size {len(ball)}")
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        # build (or reload) the oracle ball through the cache directory and
-        # cross-check it, cell by cell, against the engine's table
-        from .oracle import Ball, Oracle, ball_cache_name
-
-        oracle = Oracle(group.pres)
-        path = Path(cache_dir) / f"{ball_cache_name(oracle, args.radius)}.json"
-        if path.exists():
-            oball = Ball.load(path, oracle)
-            payload["cache"] = {"file": str(path), "loaded": True}
-        else:
-            oball = Ball(oracle, args.radius)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            oball.save(path)
-            payload["cache"] = {"file": str(path), "loaded": False}
-        if oball.words != ball.words or oball.adj != ball.adj:
-            raise ValueError("oracle ball disagrees with the engine enumeration")
     out = _out_dir(args)
     if out:
         _write_csv(

@@ -29,12 +29,9 @@ table holds no engine: an oracle ball decides equality only through
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from . import critical
 from .critical import LabelFn, apply_tau_at
-from .presentation import INF, CoxeterPresentation, format_presentation
+from .presentation import INF, CoxeterPresentation
 from .shortlex import BallBudgetError  # noqa: F401  (raised by Ball; importable from here)
 from .shortlex import CayleyBall, default_order, memo
 from .words import Word, free_reduce, inverse_word, names, parse_word
@@ -72,9 +69,8 @@ class Oracle:
 
     def __init__(self, pres: CoxeterPresentation, max_len: int = 64):
         self.pres = pres
-        self.order = default_order(pres.n)
         self.max_len = max_len
-        self._rank = {a: r for r, a in enumerate(self.order)}
+        self._rank = {a: r for r, a in enumerate(default_order(pres.n))}
         self.label: LabelFn = pres.label
         self._canon: dict[Word, Word] = {(): ()}  # not @memo: one miss stores its whole closure
 
@@ -132,16 +128,9 @@ class Ball(CayleyBall):
     enumeration and factorisation counting without touching the engine.
     """
 
-    VERSION = 1
-
-    def __init__(self, oracle: Oracle, radius: int, max_elements=None, _load=None):
+    def __init__(self, oracle: Oracle, radius: int, max_elements=None):
         self.oracle = oracle
-        if _load is not None:
-            self._adopt(oracle.pres.n, radius, *_load)
-        else:
-            super().__init__(
-                lambda w, a: oracle.canon(w + (a,)), oracle.pres.n, radius, max_elements
-            )
+        super().__init__(lambda w, a: oracle.canon(w + (a,)), oracle.pres.n, radius, max_elements)
 
     def id_of(self, word) -> int:
         c = self.oracle.canon(word)
@@ -199,67 +188,6 @@ class Ball(CayleyBall):
                 (u, v) for u, v in pairs if permissible(self.words[u], self.words[v])
             ]
         return len(pairs), pairs
-
-    # -- persistence ----------------------------------------------------------
-
-    def cache_key(self) -> str:
-        return ball_cache_name(self.oracle, self.radius)
-
-    def save(self, path) -> None:
-        data = {
-            "version": self.VERSION,
-            "presentation": format_presentation(self.oracle.pres),
-            "order": list(self.oracle.order),
-            "radius": self.radius,
-            "words": [list(w) for w in self.words],
-            "adj": self.adj,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-
-    @staticmethod
-    def load(path, oracle: Oracle) -> "Ball":
-        """Read a saved ball; ValueError on a file that is not a well-formed
-        table for this presentation and letter order."""
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        keys = ("version", "presentation", "order", "radius", "words", "adj")
-        missing = [k for k in keys if not isinstance(data, dict) or k not in data]
-        if missing:
-            raise ValueError(f"ball cache {path} lacks {', '.join(missing)}")
-        if data["version"] != Ball.VERSION:
-            raise ValueError(f"unsupported ball cache version {data['version']}")
-        if data["order"] != list(oracle.order):
-            raise ValueError("ball cache was built under a different letter order")
-        if data["presentation"] != format_presentation(oracle.pres):
-            raise ValueError("ball cache belongs to a different presentation")
-        radius, words, adj = data["radius"], data["words"], data["adj"]
-        if type(radius) is not int or radius < 0:
-            raise ValueError(f"ball cache radius {radius!r} is not a non-negative int")
-        if not isinstance(words, list) or not all(
-            isinstance(w, list) and all(type(a) is int for a in w) for w in words
-        ):
-            raise ValueError("ball cache words are not lists of ints")
-        if not isinstance(adj, list) or not all(isinstance(row, list) for row in adj):
-            raise ValueError("ball cache adjacency is not a list of rows")
-        words = [tuple(w) for w in words]
-        N = len(words)
-        if len(adj) != N:
-            raise ValueError(f"ball cache has {len(adj)} adjacency rows for {N} words")
-        width = 2 * oracle.pres.n
-        for row in adj:
-            if len(row) != width:
-                raise ValueError(f"ball cache adjacency row of width {len(row)}, not {width}")
-            if not all(type(i) is int and -1 <= i < N for i in row):
-                raise ValueError(f"ball cache adjacency id outside [-1, {N})")
-        return Ball(oracle, radius, _load=(words, adj))
-
-
-def ball_cache_name(oracle: Oracle, radius: int) -> str:
-    """Stable file stem keyed by presentation, letter order and radius."""
-    payload = format_presentation(oracle.pres) + repr(oracle.order)
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return f"ball_{digest}_r{radius}"
 
 
 # -- relator-substitution closure (independent spot check) -------------------

@@ -28,7 +28,8 @@ def d1_scan(group: ArtinGroup, radius: int, min_values=(1, 2, 3), pres_id="pres"
     """
     F_{P,k,l} for every k <= l with k + l <= radius and min(k,l) in the
     requested set (the k > l values follow by symmetry of the definition).
-    Returns (csv_rows, summary).
+    A requested k with 2k > radius has no (k, l) cell, so it yields no row
+    and no summary key; it is not an error.  Returns (csv_rows, summary).
     """
     if not min_values:
         raise ValueError("no min(k, l) values given")

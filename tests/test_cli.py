@@ -141,16 +141,12 @@ def test_out_of_range_input(capsys, argv):
         assert "generator 5" in payload["error"]
 
 
-@pytest.mark.parametrize("via", ["out", "cache"])
-def test_file_system_errors_keep_json_contract(tmp_path, capsys, monkeypatch, via):
+@pytest.mark.parametrize("via", ["out"])
+def test_file_system_errors_keep_json_contract(tmp_path, capsys, via):
     # a regular file where a directory is needed is an exit-2 JSON error
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    if via == "out":
-        argv = ["--preset", "da3", "--json", "--out", str(blocker), "ball", "2"]
-    else:
-        monkeypatch.setenv("ARTINGEO_CACHE", str(blocker))
-        argv = ["--preset", "da3", "--json", "ball", "2"]
+    argv = ["--preset", "da3", "--json", f"--{via}", str(blocker), "ball", "2"]
     code, payload = run_json(capsys, *argv)
     assert code == 2 and payload["type"] == "FileExistsError"
 
@@ -303,6 +299,28 @@ def test_d2_scan_artifact_digest(tmp_path, capsys, command, preset):
         assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname
 
 
+# sha256 of the --out artifacts of `ball R`, measured while `ball` could
+# still cross-check an oracle ball through a cache directory
+BALL_DIGESTS = {
+    ("triangle444", "5"): {
+        "ball.csv": "435473a65a16ec5887e1c78352ca0376473b5beb1049faac3df772b88c17c78e",
+        "ball.json": "5038dc9da6671f4ca43fc014af301e08edcf694168252ab4776c118157a05292",
+    },
+    ("dainf", "6"): {
+        "ball.csv": "e9006d0a3cab74906861bc53d4ba2433880234ec11e87e084ea86e0a94098f85",
+        "ball.json": "edbd4b5d5f11d8eedcb2dcc6c3f71ff409ae6c9d2d2608013d4094819842b13b",
+    },
+}
+
+
+@pytest.mark.parametrize("preset, radius", list(BALL_DIGESTS), ids=[p for p, _ in BALL_DIGESTS])
+def test_ball_artifact_digest(tmp_path, capsys, preset, radius):
+    code, _ = run(capsys, "--preset", preset, "--out", str(tmp_path), "ball", radius)
+    assert code == 0
+    for fname, digest in BALL_DIGESTS[(preset, radius)].items():
+        assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
 def test_repro_artifact_digest(tmp_path, capsys):
     # sha256 of repro.json, measured before the per-instance caches shared
     # one memo helper
@@ -317,55 +335,3 @@ def test_presentation_file_argument(tmp_path, capsys):
     path.write_text("n = 2\nmatrix =\n1 5\n5 1\n")
     code, payload = run_json(capsys, "--preset", str(path), "--json", "ball", "2")
     assert code == 0 and payload["sphere_sizes"]["2"] == 12
-
-
-def test_ball_cache_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ARTINGEO_CACHE", str(tmp_path))
-    code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "3")
-    assert code == 0 and payload["cache"]["loaded"] is False
-    cache_files = list(tmp_path.glob("ball_*.json"))
-    assert len(cache_files) == 1
-    code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "3")
-    assert code == 0 and payload["cache"]["loaded"] is True
-
-
-def test_ball_cache_corrupt_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ARTINGEO_CACHE", str(tmp_path))
-    code, _ = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
-    assert code == 0
-    (path,) = tmp_path.glob("ball_*.json")
-    data = json.loads(path.read_text())
-    del data["order"]
-    path.write_text(json.dumps(data))
-    code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
-    assert code == 2 and payload["type"] == "ValueError"
-    assert "order" in payload["error"]
-
-
-def test_ball_cache_swapped_cells(tmp_path, capsys, monkeypatch):
-    # a cache whose identity row swaps the a and A cells keeps every sphere
-    # size, so only the cell-by-cell comparison with the engine catches it
-    monkeypatch.setenv("ARTINGEO_CACHE", str(tmp_path))
-    code, _ = run_json(capsys, "--preset", "da3", "--json", "ball", "3")
-    assert code == 0
-    (path,) = tmp_path.glob("ball_*.json")
-    data = json.loads(path.read_text())
-    row = data["adj"][0]
-    row[0], row[1] = row[1], row[0]
-    path.write_text(json.dumps(data))
-    code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "3")
-    assert code == 2 and payload["type"] == "ValueError"
-    assert "disagrees" in payload["error"]
-
-
-def test_ball_cache_wrongly_typed_words(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ARTINGEO_CACHE", str(tmp_path))
-    code, _ = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
-    assert code == 0
-    (path,) = tmp_path.glob("ball_*.json")
-    data = json.loads(path.read_text())
-    data["words"] = list(range(len(data["words"])))
-    path.write_text(json.dumps(data))
-    code, payload = run_json(capsys, "--preset", "da3", "--json", "ball", "2")
-    assert code == 2 and payload["type"] == "ValueError"
-    assert "ball cache" in payload["error"]

@@ -10,7 +10,7 @@ from artingeo.largetype import (
     STResult,
 )
 from artingeo.presentation import INF, CoxeterPresentation
-from artingeo.words import inverse_word, parse_word, syllable_count
+from artingeo.words import inverse_word, names, parse_word, syllable_count
 
 from conftest import freely_reduced_words, merge_row, rename
 
@@ -138,6 +138,25 @@ def test_left_divisor_words_are_the_geodesic_left_divisors(stash, name):
         for j in range(len(f) + 1):
             tails = engine.right_divisor_words(f.inv(), j)
             assert {w for w in heads if len(w) == j} == {engine.nf(inverse_word(w)) for w in tails}
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("triangle444", 5), ("triangle345", 4), ("counterexample433", 4), ("da4", 6)],
+)
+def test_ld_is_the_longest_pair_word_among_the_left_divisors(stash, name, radius):
+    # LD_ij(g), read off a reordered engine's normal form, is the one longest
+    # {i,j}-word among the geodesic left divisors of g under the default order
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    ball = group.ball(radius)
+    for idx in range(len(ball)):
+        g = ball.element(idx)
+        heads = group.engine.left_divisor_words(g)
+        for i, j in group.pres.pairs():
+            pair_words = [w for w in heads if names(w) <= {i, j}]
+            longest = max(map(len, pair_words))
+            (top,) = [w for w in pair_words if len(w) == longest]
+            assert group.ld(g, i, j).word == top, (name, g.word, i, j)
 
 
 def test_ld_prime_cases(g345):

@@ -147,19 +147,6 @@ def test_restricted_fact_counts_are_smaller(stash):
         assert restr <= full
 
 
-def test_ball_save_load(tmp_path, stash):
-    orc = Oracle(CoxeterPresentation.dihedral(3))
-    ball = Ball(orc, 3)
-    path = tmp_path / (ball.cache_key() + ".json")
-    ball.save(path)
-    again = Ball.load(path, orc)
-    assert again.words == ball.words
-    assert again.adj == ball.adj
-    wrong = Oracle(CoxeterPresentation.dihedral(4))
-    with pytest.raises(ValueError):
-        Ball.load(path, wrong)
-
-
 def test_relator_closure_is_bounded():
     da3 = CoxeterPresentation.dihedral(3)
     states = relator_closure(da3, W("ab"), slack=2)
@@ -225,37 +212,6 @@ def test_products_match_pairwise_walks(stash):
         ball.products(ball.sphere(3), ball.sphere(3))
     with pytest.raises(ValueError):
         ball.products([0, ball.sphere(5)[0]], [ball.sphere(1)[0]])
-
-
-def test_ball_load_rejects_malformed_tables(tmp_path):
-    import json
-
-    orc = Oracle(CoxeterPresentation.dihedral(3))
-    ball = Ball(orc, 3)
-    path = tmp_path / "ball.json"
-    ball.save(path)
-    good = json.loads(path.read_text())
-    N = len(good["words"])
-    corruptions = {
-        "truncated adj": {"adj": good["adj"][:3]},
-        "short row": {"adj": [good["adj"][0][:3]] + good["adj"][1:]},
-        "id past the end": {"adj": [[N] + good["adj"][0][1:]] + good["adj"][1:]},
-        "id below -1": {"adj": [[-2] + good["adj"][0][1:]] + good["adj"][1:]},
-        "int words": {"words": list(range(N))},
-        "str words": {"words": ["ab"] * N},
-        "int adj": {"adj": 5},
-        "adj of ints": {"adj": list(range(N))},
-        "str radius": {"radius": "3"},
-        "negative radius": {"radius": -1},
-        "bool radius": {"radius": True},
-    }
-    for patch in corruptions.values():
-        path.write_text(json.dumps({**good, **patch}))
-        with pytest.raises(ValueError, match="ball cache"):
-            Ball.load(path, orc)
-    path.write_text(json.dumps({k: v for k, v in good.items() if k != "words"}))
-    with pytest.raises(ValueError, match="lacks words"):
-        Ball.load(path, orc)
 
 
 @pytest.mark.parametrize("name", ["da3", "da4"])
