@@ -39,26 +39,21 @@ OUT_COMMANDS = ("ball", "d1-scan", "d2-scan", "rd-check", "repro-paper")
 COUNTEREXAMPLE_COMMANDS = ("divisors", "merge", "compress", "d2-scan")
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _out_dir(args) -> Path | None:
-    """The --out directory, created if missing; None without --out."""
+def _write_artifacts(args, files: dict):
+    """Write each file into --out, if given: (header, rows) as CSV, anything else as JSON."""
     if not args.out:
-        return None
+        return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, content in files.items():
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            if isinstance(content, tuple):
+                writer = csv.writer(fh)
+                writer.writerow(content[0])
+                writer.writerows(content[1])
+            else:
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
 
 def _emit(args, payload: dict, text_lines):
@@ -117,14 +112,9 @@ def cmd_ball(group, args):
     payload = {"radius": args.radius, "sphere_sizes": {str(k): v for k, v in sizes.items()}}
     lines = [f"|C_{k}| = {v}" for k, v in sizes.items()]
     lines.append(f"ball size {len(ball)}")
-    out = _out_dir(args)
-    if out:
-        _write_csv(
-            out / "ball.csv",
-            ["presentation", "k", "statistic", "value"],
-            [(args.pres_id, k, "sphere_size", v) for k, v in sizes.items()],
-        )
-        _write_json(out / "ball.json", payload)
+    header = ["presentation", "k", "statistic", "value"]
+    rows = [(args.pres_id, k, "sphere_size", v) for k, v in sizes.items()]
+    _write_artifacts(args, {"ball.csv": (header, rows), "ball.json": payload})
     _emit(args, payload, lines)
     return 0
 
@@ -215,10 +205,8 @@ def cmd_compress(group, args):
 
 def cmd_d1_scan(group, args):
     rows, summary = d1_scan(group, args.radius, tuple(args.min_kl), args.pres_id)
-    out = _out_dir(args)
-    if out:
-        _write_csv(out / "d1.csv", ["presentation", "k", "l", "statistic", "value"], rows)
-        _write_json(out / "d1_summary.json", summary)
+    header = ["presentation", "k", "l", "statistic", "value"]
+    _write_artifacts(args, {"d1.csv": (header, rows), "d1_summary.json": summary})
     lines = [f"F_P({r[1]},{r[2]}) = {r[4]}" for r in rows]
     _emit(args, {"rows": rows, "summary": summary}, lines)
     return 0
@@ -226,17 +214,11 @@ def cmd_d1_scan(group, args):
 
 def cmd_d2_scan(group, args):
     rows, summary = d2_scan(group, args.radius, args.pres_id)
-    out = _out_dir(args)
-    if out:
-        _write_csv(
-            out / "d2.csv",
-            [
-                "presentation", "g", "k", "l", "S_size", "T_size", "max_r",
-                "max_h", "S0", "S1", "S2", "bounds_ok", "q_ok",
-            ],
-            rows,
-        )
-        _write_json(out / "d2_summary.json", summary)
+    header = [
+        "presentation", "g", "k", "l", "S_size", "T_size", "max_r",
+        "max_h", "S0", "S1", "S2", "bounds_ok", "q_ok",
+    ]
+    _write_artifacts(args, {"d2.csv": (header, rows), "d2_summary.json": summary})
     lines = [
         f"rows: {len(rows)}, all bounds ok: {summary['all_bounds_ok']}, events: {len(summary['events'])}"
     ]
@@ -246,10 +228,8 @@ def cmd_d2_scan(group, args):
 
 def cmd_rd_check(group, args):
     rows, summary = rd_check(group, args.radius, args.trials, args.seed, args.pres_id)
-    out = _out_dir(args)
-    if out:
-        _write_csv(out / "rd.csv", ["presentation", "k", "l", "m", "max_ratio"], rows)
-        _write_json(out / "rd_summary.json", summary)
+    header = ["presentation", "k", "l", "m", "max_ratio"]
+    _write_artifacts(args, {"rd.csv": (header, rows), "rd_summary.json": summary})
     lines = [f"envelope by min(k,l): {summary['envelope_by_min_kl']}"]
     _emit(args, {"rows": rows, "summary": summary}, lines)
     return 0
@@ -258,16 +238,11 @@ def cmd_rd_check(group, args):
 def cmd_repro(args):
     results = repro_paper()
     ok = all(r["ok"] for r in results)
-    if args.json:
-        print(json.dumps({"ok": ok, "results": results}, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            print(f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']}: {r['detail']}")
-        print(f"{'all examples reproduced' if ok else 'SOME EXAMPLES FAILED'}")
-    out = _out_dir(args)
-    if out:
-        stable = [{k: v for k, v in r.items() if k != "seconds"} for r in results]
-        _write_json(out / "repro.json", {"ok": ok, "results": stable})
+    stable = [{k: v for k, v in r.items() if k != "seconds"} for r in results]
+    _write_artifacts(args, {"repro.json": {"ok": ok, "results": stable}})
+    lines = [f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']}: {r['detail']}" for r in results]
+    lines.append("all examples reproduced" if ok else "SOME EXAMPLES FAILED")
+    _emit(args, {"ok": ok, "results": results}, lines)
     return 0 if ok else 1
 
 
@@ -348,7 +323,7 @@ def main(argv=None) -> int:
             "rd-check": cmd_rd_check,
         }
         return handlers[args.command](group, args)
-    except (ValueError, HypothesisError, OnetailFailure, OSError) as exc:
+    except (ValueError, OSError) as exc:  # HypothesisError, OnetailFailure are ValueErrors
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         return 2
 

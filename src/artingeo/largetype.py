@@ -262,7 +262,6 @@ class ArtinGroup:
 
     # -- permissibility ------------------------------------------------------------
 
-    @memo(lambda g1, g2: (g1.word, g2.word))
     def permissible(self, g1: GroupElement, g2: GroupElement) -> bool:
         """(g1, g2) is geodesic and dihedrally permissible on every pair."""
         if len(g1 * g2) != len(g1) + len(g2):

@@ -32,7 +32,7 @@ from .critical import (
     tau_closure,
 )
 from .presentation import CoxeterPresentation
-from .words import Word, format_word, inverse_word, parse_word
+from .words import Word, format_word, inverse_word, parse_word, sign_class
 
 LetterOrder = tuple[int, ...]
 
@@ -108,8 +108,6 @@ class GroupElement:
 
     @property
     def sign(self) -> str:
-        from .words import sign_class
-
         return sign_class(self.word)
 
     def __repr__(self) -> str:

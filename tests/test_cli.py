@@ -330,6 +330,37 @@ def test_repro_artifact_digest(tmp_path, capsys):
     assert digest == "d762690ec6dc7be038f40cabc1aa15ab32a5a22be128a6278bf448f2ec280815"
 
 
+# every --out command and the exact set of files it writes
+ARTIFACT_FILES = {
+    ("ball", "3"): {"ball.csv", "ball.json"},
+    ("d1-scan", "--radius", "3"): {"d1.csv", "d1_summary.json"},
+    ("d2-scan", "--radius", "2"): {"d2.csv", "d2_summary.json"},
+    ("rd-check", "--radius", "3", "--trials", "2"): {"rd.csv", "rd_summary.json"},
+    ("repro-paper",): {"repro.json"},
+}
+
+
+@pytest.mark.parametrize("argv", list(ARTIFACT_FILES), ids=[a[0] for a in ARTIFACT_FILES])
+def test_out_writes_exactly_its_artifact_files(tmp_path, capsys, argv):
+    preset = [] if argv[0] == "repro-paper" else ["--preset", "da3"]
+    written = []
+    for _ in range(2):  # the second run overwrites the first in place
+        code, _ = run(capsys, *preset, "--out", str(tmp_path), *argv)
+        assert code == 0
+        written.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+    assert set(written[0]) == ARTIFACT_FILES[argv]
+    assert written[1] == written[0]
+
+
+def test_repro_json_report_matches_artifact(tmp_path, capsys):
+    code, payload = run_json(capsys, "--json", "--out", str(tmp_path), "repro-paper")
+    assert code == 0 and payload["ok"] is True
+    artifact = json.loads((tmp_path / "repro.json").read_text())
+    assert all("seconds" in r for r in payload["results"])
+    stable = [{k: v for k, v in r.items() if k != "seconds"} for r in payload["results"]]
+    assert stable == artifact["results"]
+
+
 def test_presentation_file_argument(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text("n = 2\nmatrix =\n1 5\n5 1\n")

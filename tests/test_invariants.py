@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from artingeo.largetype import ArtinGroup
 from artingeo.presets import load_preset
 from artingeo.shortlex import ShortlexEngine
 from artingeo.words import inverse_word
@@ -99,3 +100,10 @@ def test_classify_calls_per_letter(monkeypatch):
         calls = 0
         ShortlexEngine(load_preset(name)).nf(w)
         assert calls <= 40 * len(w), (name, calls)
+
+
+def test_free_group_sphere_growth():
+    # dainf is the free group on a, b: |C_k| = 4 * 3^(k-1), checked beyond
+    # the radii at which the oracle certifies the engine
+    sizes = ArtinGroup(load_preset("dainf")).ball(8).sphere_sizes()
+    assert sizes == {0: 1, **{k: 4 * 3 ** (k - 1) for k in range(1, 9)}}
