@@ -27,13 +27,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
 from .largetype import ArtinGroup, HypothesisError, OnetailFailure
 from .presets import PRESET_NAMES, resolve_presentation
 from .sweeps import d1_scan, d2_scan, rd_check, repro_paper
-from .words import format_word, parse_word
+from .words import format_word, is_freely_reduced, parse_word
 
 OUT_COMMANDS = ("ball", "d1-scan", "d2-scan", "rd-check", "repro-paper")
 COUNTEREXAMPLE_COMMANDS = ("divisors", "merge", "compress", "d2-scan")
@@ -62,6 +63,7 @@ def _emit(args, payload: dict, text_lines):
     else:
         for line in text_lines:
             print(line)
+    sys.stdout.flush()  # a closed stdout raises here, inside main, not at interpreter exit
 
 
 def cmd_nf(group, args):
@@ -84,7 +86,7 @@ def cmd_nf(group, args):
 
 def cmd_geodesic(group, args):
     word = parse_word(args.word)
-    nf = group.nf(word)
+    nf = group.engine.nf(word)
     geo = len(nf) == len(word)
     payload = {
         "input": args.word,
@@ -95,8 +97,6 @@ def cmd_geodesic(group, args):
     lines = [f"geodesic: {geo} (word length {len(word)}, element length {len(nf)})"]
     if group.pres.is_dihedral():
         ctx = group.dihedral_ctx(1, 2)
-        from .words import is_freely_reduced
-
         if is_freely_reduced(word):
             is_geo, unique = ctx.geodesic_status(word)
             payload["unique_representative"] = bool(is_geo and unique)
@@ -323,6 +323,9 @@ def main(argv=None) -> int:
             "rd-check": cmd_rd_check,
         }
         return handlers[args.command](group, args)
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, even at the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # HypothesisError, OnetailFailure are ValueErrors
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         return 2

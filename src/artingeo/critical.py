@@ -50,7 +50,6 @@ from .words import (
     alt_starting,
     free_reduce,
     is_freely_reduced,
-    name,
     names,
     runs,
 )
@@ -62,11 +61,11 @@ LabelFn = Callable[[int, int], MatrixEntry]
 def delta_letter(a: int, pair: tuple[int, int], m: int) -> int:
     """Conjugation by Delta on a letter of the pair (identity for even m)."""
     i, j = pair
-    if name(a) not in (i, j):
+    if abs(a) not in (i, j):
         raise ValueError(f"letter {a} does not belong to the pair {pair}")
     if m % 2 == 0:
         return a
-    other = j if name(a) == i else i
+    other = j if abs(a) == i else i
     return other if a > 0 else -other
 
 
@@ -74,7 +73,7 @@ def delta_word(w: Word, pair: tuple[int, int], m: int, power: int = 1) -> Word:
     """delta^power applied letterwise; only the parity of power matters."""
     if m % 2 == 0 or power % 2 == 0:
         for a in w:
-            if name(a) not in pair:
+            if abs(a) not in pair:
                 raise ValueError(f"letter {a} does not belong to the pair {pair}")
         return w
     return tuple(delta_letter(a, pair, m) for a in w)
@@ -148,7 +147,7 @@ def block_swap(w: Word, head: int, tail: int, m: int, pair: tuple[int, int]) -> 
     empty B1 takes the sign opposite to B2.  With head + tail = m this is
     tau; on an over-critical word it is the length-reducing move.
     """
-    x, t = name(w[0]), name(w[-1])
+    x, t = abs(w[0]), abs(w[-1])
     y, z = pair[0] + pair[1] - x, pair[0] + pair[1] - t
     sgn = -1 if (w[0] > 0 if head else w[-1] < 0) else 1
     dxi = delta_word(w[head : len(w) - tail], pair, m)

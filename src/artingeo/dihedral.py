@@ -84,9 +84,6 @@ class DihedralContext:
     def element(self, word) -> GroupElement:
         return self.engine.element(word)
 
-    def nf(self, word) -> Word:
-        return self.engine.nf(word)
-
     @property
     def identity(self) -> GroupElement:
         return self.engine.identity
@@ -145,9 +142,6 @@ class DihedralContext:
         """Reduce to a geodesic spelling; the log lists every move applied."""
         return reduce_2gen(w, self.m)
 
-    def geodesic_words(self, g: GroupElement) -> frozenset[Word]:
-        return self.engine.geodesic_words(g)
-
     # -- Garside power and permissibility -------------------------------------
 
     @memo(lambda g: g.word)
@@ -162,7 +156,7 @@ class DihedralContext:
 
     @memo(lambda g: g.word)
     def has_two_syllable_spelling(self, g: GroupElement) -> bool:
-        return any(syllable_count(w) <= 2 for w in self.geodesic_words(g))
+        return any(syllable_count(w) <= 2 for w in self.engine.geodesic_words(g))
 
     @memo(lambda g1, g2: (g1.word, g2.word))
     def permissible(self, g1: GroupElement, g2: GroupElement) -> tuple[bool, str]:

@@ -46,7 +46,7 @@ class GroupFunction:
         self.coeffs: dict[Word, complex] = {}
         if coeffs:
             for key, val in coeffs.items():
-                word = key.word if isinstance(key, GroupElement) else group.nf(key)
+                word = key.word if isinstance(key, GroupElement) else group.engine.nf(key)
                 if val != 0:
                     self.coeffs[word] = self.coeffs.get(word, 0) + complex(val)
         self.coeffs = {w: v for w, v in self.coeffs.items() if v != 0}
@@ -75,7 +75,7 @@ class GroupFunction:
         return [ball.index[w] for w in supp], np.array([self.coeffs[w] for w in supp])
 
     def __getitem__(self, g) -> complex:
-        word = g.word if isinstance(g, GroupElement) else self.group.nf(g)
+        word = g.word if isinstance(g, GroupElement) else self.group.engine.nf(g)
         return self.coeffs.get(word, 0j)
 
     def __len__(self) -> int:
@@ -104,7 +104,7 @@ class GroupFunction:
         acc: dict[Word, complex] = {}
         for u, a in self.items():
             for v, b in other.items():
-                uv = self.group.nf(u + v)
+                uv = self.group.engine.nf(u + v)
                 acc[uv] = acc.get(uv, 0) + a * b
         return GroupFunction(self.group, acc)
 
@@ -235,7 +235,7 @@ def star_star_trials(
     record("all-ones", np.ones(len(ck)), np.ones(len(cl)))
     record("single-atom", np.eye(1, len(ck), 0).ravel(), np.eye(1, len(cl), 0).ravel())
     multi_k, multi_l = (
-        np.array([float(len(group.geodesic_words(ball.element(i))) > 1) for i in ids])
+        np.array([float(len(group.engine.geodesic_words(ball.element(i))) > 1) for i in ids])
         for ids in (ck, cl)
     )
     if multi_k.any() and multi_l.any():
@@ -266,18 +266,12 @@ def _scatter_add(slots: np.ndarray, weights: np.ndarray, size: int) -> np.ndarra
 # -- operator norm lower bound --------------------------------------------------------
 
 
-def operator_norm_estimate(phi: GroupFunction, radius: int, iterations: int = 80) -> float:
-    """
-    Certified lower bound for ||phi||_* obtained by restricting psi to the
-    radius-R ball: the best Rayleigh quotient ||phi * psi||_2 / ||psi||_2
-    seen during power iteration on the restricted operator.
-    """
-    return operator_norm_profile(phi, [radius], iterations)[0][1]
-
-
 def operator_norm_profile(phi: GroupFunction, radii: Iterable[int], iterations: int = 80):
     """
-    operator_norm_estimate over increasing radii.  Each radius is
+    Certified lower bounds for ||phi||_*, one per radius R: restrict psi to
+    the radius-R ball and take the best Rayleigh quotient
+    ||phi * psi||_2 / ||psi||_2 seen during power iteration on the
+    restricted operator.  Radii run in increasing order and each is
     warm-started with the previous maximising vector, zero-padded: ball ids
     are breadth-first, so the radius-R ball is an id prefix of every larger
     one and the reported lower bounds are nondecreasing in R.  T x scatters

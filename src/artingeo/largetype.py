@@ -62,7 +62,7 @@ from typing import Optional
 
 from .dihedral import DihedralContext
 from .presentation import CoxeterPresentation, INF
-from .shortlex import ElementBall, GroupElement, ShortlexEngine, memo
+from .shortlex import ElementBall, GroupElement, ShortlexEngine, default_order, memo
 from .words import Word, exponent_sum, names, syllable_count
 
 
@@ -171,21 +171,6 @@ class ArtinGroup:
     def element(self, word) -> GroupElement:
         return self.engine.element(word)
 
-    def nf(self, word) -> Word:
-        return self.engine.nf(word)
-
-    def is_geodesic(self, word) -> bool:
-        return self.engine.is_geodesic(word)
-
-    def final_letters(self, g) -> set[int]:
-        return self.engine.final_letters(g)
-
-    def initial_letters(self, g) -> set[int]:
-        return self.engine.initial_letters(g)
-
-    def geodesic_words(self, g) -> frozenset[Word]:
-        return self.engine.geodesic_words(g)
-
     @memo(lambda radius: radius)
     def ball(self, radius: int) -> ElementBall:
         return ElementBall(self.engine, radius)
@@ -232,8 +217,8 @@ class ArtinGroup:
             i, j = j, i
         ld = self.ld(g, i, j)
         L = len(ld)
-        reps = self.geodesic_words(g)
-        if all(self.nf(w[:L]) == ld.word for w in reps):
+        reps = self.engine.geodesic_words(g)
+        if all(self.engine.nf(w[:L]) == ld.word for w in reps):
             return ld, 1, None
         letters: set[int] = set()
         witnesses: dict[int, Word] = {}
@@ -486,7 +471,7 @@ class ArtinGroup:
         A = f1pp * self.element((a,) * s)
         B = self.element((b,) * tpow) * f2pp
         best = None
-        for c in self.engine.letters():
+        for c in default_order(self.pres.n):
             if abs(c) in (i, j):
                 continue
             q = self.engine.strip_power(A, self.element((-c,)))

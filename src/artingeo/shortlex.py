@@ -193,9 +193,6 @@ class ShortlexEngine:
             self._inv[hit] = g.word
         return GroupElement(self, hit)
 
-    def letters(self) -> LetterOrder:
-        return default_order(self.pres.n)
-
     def strip_power(self, g: GroupElement, x: GroupElement, left: bool = False) -> int:
         """
         Largest s with |g x^s| = |g| - s|x|, or |x^s g| = |g| - s|x| when
@@ -242,7 +239,7 @@ class ShortlexEngine:
         if not g.word:
             raise ValueError("the identity has no final letters")
         L = len(g.word)
-        return {a for a in self.letters() if len(self.append(g.word, -a)) == L - 1}
+        return {a for a in default_order(self.pres.n) if len(self.append(g.word, -a)) == L - 1}
 
     def initial_letters(self, g: GroupElement) -> set[int]:
         return {-a for a in self.final_letters(self.invert(g))}

@@ -18,7 +18,7 @@ from .harmonic import permissible_fact_sup, star_star_trials
 from .largetype import ArtinGroup, OnetailFailure
 from .oracle import Oracle
 from .presentation import INF, CoxeterPresentation
-from .words import format_word, parse_word
+from .words import alt_starting, format_word, parse_word
 
 
 # -- D1: permissible factorisation counts --------------------------------------
@@ -171,11 +171,9 @@ def repro_paper() -> list[dict]:
     check("parse-9-letter-word", parse_roundtrip)
 
     def alternating_words():
-        from .words import alternating
-
-        a6 = format_word(alternating(1, 2, 6, "start"))
-        a5 = format_word(alternating(1, 2, 5, "start"))
-        a0 = alternating(1, 2, 0, "start")
+        a6 = format_word(alt_starting(1, 2, 6))
+        a5 = format_word(alt_starting(1, 2, 5))
+        a0 = alt_starting(1, 2, 0)
         return (a6 == "ababab" and a5 == "ababa" and a0 == (), f"{a6} {a5}")
 
     check("alternating-words", alternating_words)
@@ -218,9 +216,9 @@ def repro_paper() -> list[dict]:
 
     def geodesic_sets():
         g = ctx3.element("aba")
-        reps = {format_word(w) for w in ctx3.geodesic_words(g)}
+        reps = {format_word(w) for w in ctx3.engine.geodesic_words(g)}
         g2 = ctx3.element("abbA")
-        reps2 = {format_word(w) for w in ctx3.geodesic_words(g2)}
+        reps2 = {format_word(w) for w in ctx3.engine.geodesic_words(g2)}
         return (
             reps == {"aba", "bab"} and reps2 == {"abbA", "Baab"},
             f"{sorted(reps)} {sorted(reps2)}",
@@ -234,7 +232,7 @@ def repro_paper() -> list[dict]:
         group = ArtinGroup(load_preset("triangle345"))
         oracle = Oracle(group.pres)
         t0 = time.perf_counter()
-        nf = group.nf("aBBAcbbCBacaacA")
+        nf = group.engine.nf("aBBAcbbCBacaacA")
         elapsed = time.perf_counter() - t0
         target = parse_word("BAACBccbaccac")
         ok = len(nf) == 13 and oracle.equal(nf, target) and elapsed < 1.0
@@ -269,7 +267,7 @@ def repro_paper() -> list[dict]:
         group = ArtinGroup(load_preset("counterexample433"), allow_counterexample=True)
         g = group.element("babacabab")
         ld = group.ld(g, 1, 2)
-        reps = {format_word(w) for w in group.geodesic_words(g)}
+        reps = {format_word(w) for w in group.engine.geodesic_words(g)}
         if ld != group.element("baba"):
             return False, f"LD_12 = {ld!r}"
         if not {"babcacbab", "abacbcaba"} <= reps:

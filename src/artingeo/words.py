@@ -21,11 +21,6 @@ Letter = int
 Word = tuple[int, ...]
 
 
-def name(a: Letter) -> int:
-    """The generator index of a letter, ignoring its sign."""
-    return a if a > 0 else -a
-
-
 def inverse_word(w: Word) -> Word:
     """The formal inverse: reverse the word and flip every sign."""
     return tuple(-a for a in reversed(w))
@@ -66,31 +61,18 @@ def free_reduce(w: Iterable[Letter]) -> Word:
     return tuple(out)
 
 
-def alternating(a: Letter, b: Letter, r: int, side: str = "start") -> Word:
-    """
-    Alternating product of the two letters a and b of length r.
-
-    side='start': the word starts with a (and alternates a, b, a, ...).
-    side='end':   the word ends with a.
-    r = 0 gives the empty word for either side.
-    """
-    if a == b:
+def alt_starting(first: Letter, other: Letter, r: int) -> Word:
+    """The length-r word alternating first, other, first, ...; r = 0 gives ()."""
+    if first == other:
         raise ValueError("alternating requires two distinct letters")
     if r < 0:
         raise ValueError("length must be nonnegative")
-    if side == "start":
-        return tuple(a if i % 2 == 0 else b for i in range(r))
-    if side == "end":
-        return tuple(a if (r - 1 - i) % 2 == 0 else b for i in range(r))
-    raise ValueError(f"side must be 'start' or 'end', got {side!r}")
-
-
-def alt_starting(first: Letter, other: Letter, r: int) -> Word:
-    return alternating(first, other, r, side="start")
+    return (first, other) * (r // 2) + (first,) * (r % 2)
 
 
 def alt_ending(last: Letter, other: Letter, r: int) -> Word:
-    return alternating(last, other, r, side="end")
+    """The length-r alternating word of last and other that ends with last."""
+    return alt_starting(last, other, r) if r % 2 else alt_starting(other, last, r)
 
 
 def runs(w: Word) -> list[tuple[int, int]]:

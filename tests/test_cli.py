@@ -151,6 +151,31 @@ def test_file_system_errors_keep_json_contract(tmp_path, capsys, via):
     assert code == 2 and payload["type"] == "FileExistsError"
 
 
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["--preset", "triangle345", "--json", "nf", "abcABC" * 800], b"{\n"),
+        (["--preset", "da3", "ball", "2"], None),
+    ],
+    ids=["report-larger-than-a-pipe", "report-closed-before-written"],
+)
+def test_closed_stdout_ends_quietly(argv, first_line):
+    # stdout block-buffered, as for a user: a short report reaches the pipe only when flushed
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "artingeo.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root,
+    ) as proc:
+        if first_line is not None:
+            assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_preset_defaults_to_da3(capsys):
     assert run_json(capsys, "--json", "ball", "3") == run_json(
         capsys, "--preset", "da3", "--json", "ball", "3"

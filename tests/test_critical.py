@@ -21,7 +21,14 @@ from artingeo.critical import (
     tau_closure,
 )
 from artingeo.presentation import INF, CoxeterPresentation
-from artingeo.words import format_word, free_reduce, is_freely_reduced, names, parse_word
+from artingeo.words import (
+    alt_starting,
+    format_word,
+    free_reduce,
+    is_freely_reduced,
+    names,
+    parse_word,
+)
 
 from conftest import freely_reduced_words
 
@@ -392,11 +399,5 @@ def test_engine_rejects_out_of_range_letters():
 def test_alternating_pn_consistency():
     for m in (3, 4, 5):
         for r in range(0, 9):
-            w = alt_starting_12(r)
+            w = alt_starting(1, 2, r)
             assert pn_values(w, m) == (min(m, r), 0)
-
-
-def alt_starting_12(r):
-    from artingeo.words import alternating
-
-    return alternating(1, 2, r, "start") if r else ()

@@ -8,7 +8,6 @@ import pytest
 from artingeo.harmonic import (
     GroupFunction,
     _norm,
-    operator_norm_estimate,
     operator_norm_profile,
     permissible_fact_counts,
     permissible_fact_sup,
@@ -279,7 +278,7 @@ def reference_ratios(group, ball, k, l, m, trials, seed):
         ("single-atom", np.eye(1, len(ck), 0).ravel(), np.eye(1, len(cl), 0).ravel()),
     ]
     multi_k, multi_l = (
-        np.array([float(len(group.geodesic_words(ball.element(i))) > 1) for i in ids])
+        np.array([float(len(group.engine.geodesic_words(ball.element(i))) > 1) for i in ids])
         for ids in (ck, cl)
     )
     if multi_k.any() and multi_l.any():
@@ -348,11 +347,11 @@ def test_operator_norm_kernel_matches_add_at_reference(stash, da3, ball6):
 
 def test_operator_norm_atom_and_scaling(da3):
     atom = GroupFunction.atom(da3, da3.element("ab"))
-    est = operator_norm_estimate(atom, 3, iterations=10)
+    est = operator_norm_profile(atom, [3], 10)[0][1]
     assert abs(est - 1.0) < 1e-12
     phi = GroupFunction(da3, {"a": 1.0, "B": 0.5})
-    e1 = operator_norm_estimate(phi, 3, iterations=30)
-    e2 = operator_norm_estimate(phi.scale(-2.5), 3, iterations=30)
+    e1 = operator_norm_profile(phi, [3], 30)[0][1]
+    e2 = operator_norm_profile(phi.scale(-2.5), [3], 30)[0][1]
     assert abs(e2 - 2.5 * e1) < 1e-9
     assert operator_norm_profile(phi, []) == []
 
@@ -367,7 +366,7 @@ def test_operator_norm_free_group(stash):
     assert all(v <= limit + 1e-9 for v in values)
     assert values[-1] > 3.25
     # cross-check the restricted operator against a dense singular value
-    est5 = operator_norm_estimate(chi, 5, iterations=200)
+    est5 = operator_norm_profile(chi, [5], 200)[0][1]
     big = free.ball(6)
     inner = [i for i in range(len(big)) if big.length[i] <= 5]
     M = np.zeros((len(big), len(inner)))

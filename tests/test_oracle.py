@@ -81,13 +81,13 @@ def test_geodesic_word_enumeration_matches_tau_closure(stash):
     ctx = stash.dihedral(3)
     for idx in range(len(ball)):
         words = set(ball.geodesic_words_of(idx))
-        closure = ctx.geodesic_words(ctx.element(ball.words[idx]))
+        closure = ctx.engine.geodesic_words(ctx.element(ball.words[idx]))
         assert words == set(closure), ball.words[idx]
     ball345 = stash.oracle_ball("triangle345", 4)
     group = stash.group("triangle345")
     for idx in range(len(ball345)):
         words = set(ball345.geodesic_words_of(idx))
-        closure = group.geodesic_words(group.element(ball345.words[idx]))
+        closure = group.engine.geodesic_words(group.element(ball345.words[idx]))
         assert words == set(closure), ball345.words[idx]
 
 

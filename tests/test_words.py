@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artingeo.words import (
-    alternating,
+    alt_ending,
+    alt_starting,
     format_word,
     free_reduce,
     is_freely_reduced,
@@ -62,26 +63,30 @@ def test_inverse_word_involution(w):
 
 
 def test_alternating_examples():
-    assert format_word(alternating(1, 2, 6, "start")) == "ababab"
-    assert format_word(alternating(1, 2, 5, "start")) == "ababa"
-    assert alternating(1, 2, 0, "start") == ()
-    assert alternating(1, 2, 0, "end") == ()
-    assert format_word(alternating(1, 2, 5, "end")) == "ababa"
-    assert format_word(alternating(1, 2, 6, "end")) == "bababa"
+    assert format_word(alt_starting(1, 2, 6)) == "ababab"
+    assert format_word(alt_starting(1, 2, 5)) == "ababa"
+    assert alt_starting(1, 2, 0) == ()
+    assert alt_ending(1, 2, 0) == ()
+    assert format_word(alt_ending(1, 2, 5)) == "ababa"
+    assert format_word(alt_ending(1, 2, 6)) == "bababa"
     with pytest.raises(ValueError):
-        alternating(1, 1, 3)
+        alt_starting(1, 1, 3)
     with pytest.raises(ValueError):
-        alternating(1, 2, -1)
+        alt_starting(1, 2, -1)
 
 
 @given(st.integers(min_value=0, max_value=12))
 def test_alternating_length_and_anchors(r):
-    w = alternating(1, 2, r, "start")
-    v = alternating(1, 2, r, "end")
+    w = alt_starting(1, 2, r)
+    v = alt_ending(1, 2, r)
     assert len(w) == len(v) == r
     if r:
         assert w[0] == 1
         assert v[-1] == 1
+    # with the anchor, these pin every letter
+    assert v == w[::-1]
+    assert set(w) <= {1, 2}
+    assert all(w[i] != w[i + 1] for i in range(r - 1))
 
 
 def test_runs_partition():
