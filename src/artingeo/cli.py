@@ -7,7 +7,7 @@ Command-line surface.
     artingeo --preset counterexample433 --allow-counterexample divisors babacabab 1 2
     artingeo --preset da3 merge ab ab
     artingeo --preset da3 compress ab ab
-    artingeo --preset triangle444 d1-scan --radius 6 --out results/
+    artingeo --preset triangle444 --out results/ d1-scan --radius 6
     artingeo --preset da3 d2-scan --radius 4
     artingeo --preset da3 rd-check --radius 5 --trials 20 --seed 1
     artingeo repro-paper
@@ -19,7 +19,8 @@ other subcommand is an error.  Likewise --allow-counterexample is accepted
 only by divisors, merge, compress and d2-scan, the commands that check the
 no-(3,3,m) hypothesis, and --preset by every subcommand but repro-paper.
 Artifacts written with --out are byte-reproducible for a fixed
-configuration and seed.
+configuration and seed.  Each cmd_* handler only computes its (exit code,
+report payload, text lines, --out files); main writes and prints.
 """
 
 from __future__ import annotations
@@ -57,15 +58,6 @@ def _write_artifacts(args, files: dict):
                 fh.write("\n")
 
 
-def _emit(args, payload: dict, text_lines):
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-    sys.stdout.flush()  # a closed stdout raises here, inside main, not at interpreter exit
-
-
 def cmd_nf(group, args):
     word = parse_word(args.word)
     log = []
@@ -80,8 +72,7 @@ def cmd_nf(group, args):
         "length": len(z),
         "log": log,
     }
-    _emit(args, payload, [f"normal form: {format_word(z) or '1'} (length {len(z)})"])
-    return 0
+    return 0, payload, [f"normal form: {format_word(z) or '1'} (length {len(z)})"], {}
 
 
 def cmd_geodesic(group, args):
@@ -102,8 +93,7 @@ def cmd_geodesic(group, args):
             payload["unique_representative"] = bool(is_geo and unique)
             if is_geo:
                 lines.append(f"unique representative: {is_geo and unique}")
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines, {}
 
 
 def cmd_ball(group, args):
@@ -114,9 +104,7 @@ def cmd_ball(group, args):
     lines.append(f"ball size {len(ball)}")
     header = ["presentation", "k", "statistic", "value"]
     rows = [(args.pres_id, k, "sphere_size", v) for k, v in sizes.items()]
-    _write_artifacts(args, {"ball.csv": (header, rows), "ball.json": payload})
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines, {"ball.csv": (header, rows), "ball.json": payload}
 
 
 def cmd_divisors(group, args):
@@ -146,8 +134,7 @@ def cmd_divisors(group, args):
     except OnetailFailure as exc:
         payload["ld_prime_failure"] = sorted(format_word((a,)) for a in exc.letters)
         lines.append(f"LD' failed: tail letters {payload['ld_prime_failure']}")
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines, {}
 
 
 def cmd_merge(group, args):
@@ -173,8 +160,7 @@ def cmd_merge(group, args):
         f"h1 = {format_word(t.h1.word) or '1'}, h2 = {format_word(t.h2.word) or '1'}",
         f"moves: {len(t.trace)}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines, {}
 
 
 def cmd_compress(group, args):
@@ -199,17 +185,19 @@ def cmd_compress(group, args):
         f"compressed word: {format_word(c.word) or '1'}",
         f"kappa = {format_word(c.kappa.word) or '1'} (shape {c.shape})",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines, {}
 
 
 def cmd_d1_scan(group, args):
-    rows, summary = d1_scan(group, args.radius, tuple(args.min_kl), args.pres_id)
+    for k in args.min_kl or ():
+        if 2 * k > args.radius:
+            raise ValueError(f"--min-kl {k} has no (k, l) cell at radius {args.radius}: 2k > radius")
+    min_kl = (1, 2, 3) if args.min_kl is None else tuple(args.min_kl)
+    rows, summary = d1_scan(group, args.radius, min_kl, args.pres_id)
     header = ["presentation", "k", "l", "statistic", "value"]
-    _write_artifacts(args, {"d1.csv": (header, rows), "d1_summary.json": summary})
+    files = {"d1.csv": (header, rows), "d1_summary.json": summary}
     lines = [f"F_P({r[1]},{r[2]}) = {r[4]}" for r in rows]
-    _emit(args, {"rows": rows, "summary": summary}, lines)
-    return 0
+    return 0, {"rows": rows, "summary": summary}, lines, files
 
 
 def cmd_d2_scan(group, args):
@@ -218,32 +206,43 @@ def cmd_d2_scan(group, args):
         "presentation", "g", "k", "l", "S_size", "T_size", "max_r",
         "max_h", "S0", "S1", "S2", "bounds_ok", "q_ok",
     ]
-    _write_artifacts(args, {"d2.csv": (header, rows), "d2_summary.json": summary})
+    files = {"d2.csv": (header, rows), "d2_summary.json": summary}
     lines = [
         f"rows: {len(rows)}, all bounds ok: {summary['all_bounds_ok']}, events: {len(summary['events'])}"
     ]
-    _emit(args, {"rows": rows[:50], "summary": summary}, lines)
-    return 0 if summary["all_bounds_ok"] and not summary["events"] else 1
+    code = 0 if summary["all_bounds_ok"] and not summary["events"] else 1
+    return code, {"rows": rows[:50], "summary": summary}, lines, files
 
 
 def cmd_rd_check(group, args):
     rows, summary = rd_check(group, args.radius, args.trials, args.seed, args.pres_id)
     header = ["presentation", "k", "l", "m", "max_ratio"]
-    _write_artifacts(args, {"rd.csv": (header, rows), "rd_summary.json": summary})
+    files = {"rd.csv": (header, rows), "rd_summary.json": summary}
     lines = [f"envelope by min(k,l): {summary['envelope_by_min_kl']}"]
-    _emit(args, {"rows": rows, "summary": summary}, lines)
-    return 0
+    return 0, {"rows": rows, "summary": summary}, lines, files
 
 
 def cmd_repro(args):
     results = repro_paper()
     ok = all(r["ok"] for r in results)
     stable = [{k: v for k, v in r.items() if k != "seconds"} for r in results]
-    _write_artifacts(args, {"repro.json": {"ok": ok, "results": stable}})
+    files = {"repro.json": {"ok": ok, "results": stable}}
     lines = [f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']}: {r['detail']}" for r in results]
     lines.append("all examples reproduced" if ok else "SOME EXAMPLES FAILED")
-    _emit(args, {"ok": ok, "results": results}, lines)
-    return 0 if ok else 1
+    return 0 if ok else 1, {"ok": ok, "results": results}, lines, files
+
+
+GROUP_HANDLERS = {
+    "nf": cmd_nf,
+    "geodesic": cmd_geodesic,
+    "ball": cmd_ball,
+    "divisors": cmd_divisors,
+    "merge": cmd_merge,
+    "compress": cmd_compress,
+    "d1-scan": cmd_d1_scan,
+    "d2-scan": cmd_d2_scan,
+    "rd-check": cmd_rd_check,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("w2")
     p = sub.add_parser("d1-scan", help="permissible factorisation counts F_P")
     p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--min-kl", type=int, nargs="*", default=[1, 2, 3])
+    p.add_argument("--min-kl", type=int, nargs="*", default=None, help="default 1 2 3")
     p = sub.add_parser("d2-scan", help="merger sets S(g,k,l) and their decomposition")
     p.add_argument("--radius", type=int, default=4)
     p = sub.add_parser("rd-check", help="convolution ratio tables")
@@ -293,42 +292,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command: write its artifacts, then print its report or its exit-2 error."""
+    args = build_parser().parse_args(argv)
     try:
-        if args.out and args.command not in OUT_COMMANDS:
-            raise ValueError(
-                f"{args.command} writes no artifacts; --out is accepted by {', '.join(OUT_COMMANDS)}"
-            )
-        if args.allow_counterexample and args.command not in COUNTEREXAMPLE_COMMANDS:
-            raise ValueError(
-                f"{args.command} needs no hypothesis; --allow-counterexample is accepted by "
-                + ", ".join(COUNTEREXAMPLE_COMMANDS)
-            )
-        if args.command == "repro-paper":
-            if args.presentation is not None:
-                raise ValueError("repro-paper runs its own presentations; --preset is not accepted")
-            return cmd_repro(args)
-        args.pres_id, pres = resolve_presentation(args.presentation or "da3")
-        group = ArtinGroup(pres, allow_counterexample=args.allow_counterexample)
-        handlers = {
-            "nf": cmd_nf,
-            "geodesic": cmd_geodesic,
-            "ball": cmd_ball,
-            "divisors": cmd_divisors,
-            "merge": cmd_merge,
-            "compress": cmd_compress,
-            "d1-scan": cmd_d1_scan,
-            "d2-scan": cmd_d2_scan,
-            "rd-check": cmd_rd_check,
-        }
-        return handlers[args.command](group, args)
+        try:
+            for flag, given, commands in (
+                ("--out", args.out, OUT_COMMANDS),
+                ("--allow-counterexample", args.allow_counterexample, COUNTEREXAMPLE_COMMANDS),
+                ("--preset", args.presentation is not None, tuple(GROUP_HANDLERS)),
+            ):
+                if given and args.command not in commands:
+                    raise ValueError(f"{args.command} does not take {flag}; {', '.join(commands)} do")
+            if args.command == "repro-paper":
+                code, payload, lines, files = cmd_repro(args)
+            else:
+                args.pres_id, pres = resolve_presentation(args.presentation or "da3")
+                group = ArtinGroup(pres, allow_counterexample=args.allow_counterexample)
+                code, payload, lines, files = GROUP_HANDLERS[args.command](group, args)
+            _write_artifacts(args, files)
+            report = [json.dumps(payload, indent=2, sort_keys=True)] if args.json else lines
+        except (ValueError, OSError) as exc:  # HypothesisError, OnetailFailure are ValueErrors
+            code, report = 2, [json.dumps({"error": str(exc), "type": type(exc).__name__})]
+        for line in report:
+            print(line)
+        sys.stdout.flush()  # a closed stdout raises here, inside the guard, not at interpreter exit
+        return code
     except BrokenPipeError:  # the reader closed stdout: stop quietly, even at the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError) as exc:  # HypothesisError, OnetailFailure are ValueErrors
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
-        return 2
 
 
 if __name__ == "__main__":

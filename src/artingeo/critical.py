@@ -209,6 +209,7 @@ def critical_spans_at(
             first = hs - s if joins else 1
             head = 0 if joins or ts is None else hs - r  # the first run turns interior
             same_x, opp_x = (max(same, head), opp) if (a > 0) == sign else (same, max(opp, head))
+            # test inline, classify_critical only confirms: calling it on each candidate is 2.9x slower
             if ts is None and first > 1:
                 ok = e - s == m
             elif (x > 0) != sign:

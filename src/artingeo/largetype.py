@@ -450,10 +450,10 @@ class ArtinGroup:
         geodesic = len(f1pp) + len(fhat) + len(f2pp) == len(g)
         if geodesic:
             return SWitness(t, "S1", (i, j), f1pp, fhat, f2pp, inner)
-        s2w = self._s2_witness(t, g, (i, j), f1pp, fhat, f2pp, events, tag)
+        s2w = self._s2_witness((i, j), f1pp, fhat, f2pp, events, tag)
         return SWitness(t, "S2", (i, j), f1pp, fhat, f2pp, inner, s2w)
 
-    def _s2_witness(self, t, g, pair, f1pp, fhat, f2pp, events, tag):
+    def _s2_witness(self, pair, f1pp, fhat, f2pp, events, tag):
         """Extract and validate the crossing-letter witness for an S2 triple."""
         i, j = pair
         if self.pres.label(i, j) is INF:

@@ -216,7 +216,9 @@ class ShortlexEngine:
 
     @memo(lambda g, j: (g.word, j))
     def right_divisor_words(self, g: GroupElement, j: int) -> tuple[Word, ...]:
-        """Normal forms of the length-j right divisors of g, shortlex sorted."""
+        """Shortlex-sorted normal forms of the length-j right divisors of g; () unless 0 <= j <= |g|."""
+        if not 0 <= j <= len(g.word):
+            return ()
         seen = {self.nf(w[len(w) - j :]) for w in self.geodesic_words(g)}
         return tuple(sorted(seen, key=self.lex_key))
 

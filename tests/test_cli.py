@@ -126,12 +126,13 @@ def test_error_json(capsys):
         ["--allow-counterexample", "ball", "2"],
         ["--allow-counterexample", "d1-scan", "--radius", "2"],
         ["--allow-counterexample", "rd-check", "--radius", "2"],
+        ["d1-scan", "--radius", "4", "--min-kl", "1", "3"],
     ],
     ids=[
         "ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors",
         "d1-scan-min-kl", "d1-scan-min-kl-empty", "nf-out", "geodesic-out",
         "divisors-out", "merge-out", "compress-out", "repro-paper-preset", "nf-allow",
-        "geodesic-allow", "ball-allow", "d1-scan-allow", "rd-check-allow",
+        "geodesic-allow", "ball-allow", "d1-scan-allow", "rd-check-allow", "d1-scan-min-kl-no-cell",
     ],
 )
 def test_out_of_range_input(capsys, argv):
@@ -139,6 +140,8 @@ def test_out_of_range_input(capsys, argv):
     assert code == 2 and "error" in payload
     if argv[0] == "divisors":
         assert "generator 5" in payload["error"]
+    if argv[-2:] == ["1", "3"]:
+        assert "--min-kl 3" in payload["error"] and "radius 4" in payload["error"]
 
 
 @pytest.mark.parametrize("via", ["out"])
@@ -156,8 +159,9 @@ def test_file_system_errors_keep_json_contract(tmp_path, capsys, via):
     [
         (["--preset", "triangle345", "--json", "nf", "abcABC" * 800], b"{\n"),
         (["--preset", "da3", "ball", "2"], None),
+        (["--preset", "da3", "nf", "a?b"], None),
     ],
-    ids=["report-larger-than-a-pipe", "report-closed-before-written"],
+    ids=["report-larger-than-a-pipe", "report-closed-before-written", "error-closed-before-written"],
 )
 def test_closed_stdout_ends_quietly(argv, first_line):
     # stdout block-buffered, as for a user: a short report reaches the pipe only when flushed

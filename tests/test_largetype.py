@@ -273,10 +273,18 @@ def test_build_s_t_and_bounds(g345):
     assert g345.build_s_t(g, 0, 0).size == 0
 
 
-def test_split_s_classification(g345):
-    g = g345.element("ab")
-    st = g345.build_s_t(g, 2, 2)
-    dec = g345.split_s(st, g)
+# counterexample433 is the one shipped presentation with S2 triples up to
+# radius 6 (24 d2-scan rows, all at (k, l) = (2, 4) or (4, 2))
+@pytest.mark.parametrize(
+    "name, word, k, l",
+    [("triangle345", "ab", 2, 2), ("counterexample433", "cAbc", 2, 4)],
+    ids=["triangle345", "counterexample433"],
+)
+def test_split_s_classification(stash, name, word, k, l):
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    g = group.element(word)
+    st = group.build_s_t(g, k, l)
+    dec = group.split_s(st, g)
     assert dec.events == []
     assert len(dec.all()) == st.size
     for w in dec.s0:
@@ -289,6 +297,13 @@ def test_split_s_classification(g345):
     for w in dec.s2:
         assert w.s2_witness is not None
         assert w.s2_witness["q"] <= 2
+    if name == "counterexample433":
+        assert (len(dec.s0), len(dec.s1), len(dec.s2)) == (0, 1, 1)
+        w = dec.s2[0]
+        assert w.pair == (1, 2)
+        assert (w.f1pp.word, w.fhat.word, w.f2pp.word) == (W("AC"), W("ab"), W("cb"))
+        wit = w.s2_witness
+        assert (wit["c"], wit["q"], wit["e1"].word, wit["e2"].word) == (-3, 1, W("cA"), W("bc"))
 
 
 def test_split_s_flags_non_mergers(g345):
