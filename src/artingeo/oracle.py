@@ -24,7 +24,8 @@ compared against this module in the test suite.  The breadth-first
 bookkeeping of a ball (ids, adjacency, spheres, walks) is the table type
 :class:`artingeo.shortlex.CayleyBall` shared with the engine ball, but the
 table holds no engine: an oracle ball decides equality only through
-:meth:`Oracle.canon`.
+:meth:`Oracle.canon`, which the shared loop calls on the outward cells; the
+inward cells and the cells leaving the ball follow from length parity.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ def pair_first_order(n: int, i: int, j: int) -> LetterOrder:
     return head + tail
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GroupElement:
     """An element certified by its shortlex normal form under a fixed order."""
 
@@ -280,6 +280,13 @@ class CayleyBall:
     returning the normal form of z*a, and two words name the same element
     exactly when append produced the same word.  Products u * v with
     |u| + |v| <= radius are table walks that never leave the ball.
+
+    append must return a geodesic word, and every relation must have sides
+    of equal length (true of Artin groups); then length mod 2 is a
+    homomorphism and |u a| = |u| +- 1.  So append is called only on the
+    outward cells (|u| < radius, |u a| = |u| + 1): each one also fills the
+    inward cell (u a, a^-1) = u, and a cell of the last sphere that no
+    inward product filled is -1.
     """
 
     def __init__(
@@ -292,38 +299,36 @@ class CayleyBall:
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         letters = default_order(n)
+        inv_col = [letters.index(-a) for a in letters]
         words: list[Word] = [()]
         index: dict[Word, int] = {(): 0}
-        adj: list[list[int]] = []
-        frontier: list[Word] = [()]
-        depth = 0
-        while frontier:
-            nxt: list[Word] = []
-            for w in frontier:
-                row = []
-                for a in letters:
-                    res = append(w, a)
-                    if len(res) > radius:
-                        row.append(-1)
+        # a row is made with its word; -1 marks a cell not yet decided
+        adj: list[list[int]] = [[-1] * len(letters)]
+        start, depth = 0, 0
+        while start < len(words):  # ids start..end-1 are the sphere S_depth
+            end = len(words)
+            for v in range(start, end) if depth < radius else ():
+                w, row = words[v], adj[v]
+                for c, a in enumerate(letters):
+                    if row[c] >= 0:  # inward: recorded by the row of w*a
                         continue
-                    idx = index.get(res)
-                    if idx is None:
-                        idx = len(words)
+                    res = append(w, a)  # outward, in S_{depth+1}
+                    u = index.get(res)
+                    if u is None:
+                        u = index[res] = len(words)
                         words.append(res)
-                        index[res] = idx
-                        nxt.append(res)
-                    row.append(idx)
-                adj.append(row)
+                        adj.append([-1] * len(letters))
+                    row[c] = u
+                    adj[u][inv_col[c]] = v
             if max_elements is not None and len(words) > max_elements:
                 # keep the complete ball of radius `depth`: every row built
                 # so far, with the cells reaching the next sphere cut to -1
-                cut = len(adj)
-                adj = [[i if i < cut else -1 for i in row] for row in adj]
-                self._adopt(n, depth, words[:cut], adj)
+                adj = [[i if i < end else -1 for i in row] for row in adj[:end]]
+                self._adopt(n, depth, words[:end], adj)
                 raise BallBudgetError(self, depth)
-            frontier = nxt
+            start = end
             depth += 1
-        # rows were appended in BFS order, which matches the words order
+        # rows were made in BFS order, which matches the words order
         self._adopt(n, radius, words, adj, index)
 
     def _adopt(self, n: int, radius: int, words: list[Word], adj: list[list[int]], index=None):

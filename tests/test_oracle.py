@@ -6,6 +6,7 @@ import pytest
 
 from artingeo.oracle import Ball, Oracle, relator_closure, relator_equal
 from artingeo.presentation import CoxeterPresentation
+from artingeo.presets import PRESET_NAMES, load_preset
 from artingeo.words import inverse_word, parse_word
 
 from conftest import all_words, freely_reduced_words
@@ -187,13 +188,63 @@ def test_ball_budget():
 
 def test_engine_and_oracle_balls_agree_cell_by_cell(stash):
     # the two balls share the breadth-first bookkeeping but decide equality
-    # independently (engine append versus oracle closure), so every id and
-    # every adjacency cell must coincide
+    # independently (engine append versus oracle closure) on the outward
+    # cells, the only ones that call append, so every id and every cell must
+    # coincide; the inward and -1 cells both balls infer the same way from
+    # length parity, and test_every_ball_cell_is_the_cell_append_decides
+    # checks those
     for name, radius in (("da3", 5), ("triangle345", 4), ("triangle444", 4)):
         engine_ball = stash.group(name).ball(radius)
         oracle_ball = stash.oracle_ball(name, radius)
         assert engine_ball.words == oracle_ball.words, name
         assert engine_ball.adj == oracle_ball.adj, name
+
+
+ENGINE_CELL_RADII = {"da3": 6, "da4": 6, "da5": 6, "dainf": 5}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_ball_cell_is_the_cell_append_decides(name, stash):
+    # the breadth-first loop infers inward cells from the previous sphere and
+    # last-sphere cells from length parity; decide every cell directly instead
+    engine_ball = stash.group(name, allow_counterexample=name == "counterexample433").ball(
+        ENGINE_CELL_RADII.get(name, 4)
+    )
+    oracle = stash.oracle(name)
+    for ball, append in (
+        (engine_ball, engine_ball.engine.append),
+        (stash.oracle_ball(name, 3), lambda w, a: oracle.canon(w + (a,))),
+    ):
+        for u, w in enumerate(ball.words):
+            for a in ball.letters:
+                res = append(w, a)
+                want = ball.index[res] if len(res) <= ball.radius else -1
+                assert ball.step(u, a) == want, (name, ball.radius, w, a)
+
+
+def test_ball_calls_append_only_on_outward_cells():
+    from artingeo.shortlex import CayleyBall, ShortlexEngine
+
+    # dainf is free: one outward cell reaches each of the |B_5| - 1 = 484
+    # nontrivial elements
+    for name, radius, calls_want in (("triangle444", 5, 4542), ("dainf", 5, 484)):
+        engine = ShortlexEngine(load_preset(name))
+        calls = []
+
+        def counted(w, a):
+            calls.append((w, a))
+            return engine.append(w, a)
+
+        ball = CayleyBall(counted, engine.pres.n, radius)
+        outward = [
+            (w, a)
+            for u, w in enumerate(ball.words)
+            for a in ball.letters
+            if len(w) < radius and ball.length[ball.step(u, a)] == len(w) + 1
+        ]
+        assert calls == outward, name
+        # on triangle444, a call on every cell would make 6 |B_5| = 26,394
+        assert len(calls) == calls_want, name
 
 
 def test_products_match_pairwise_walks(stash):
