@@ -120,7 +120,8 @@ class GroupFunction:
 def permissible_pairs(group: ArtinGroup, ball: ElementBall, k: int, l: int):
     """
     Id arrays (u, v, uv) of the permissible pairs (u, v) in C_k x C_l with
-    |uv| = k + l, in row-major order.
+    |uv| = k + l, in row-major order.  On a geodesic pair group.permissible
+    reads only group.facing, so it is asked once per class of facing tuples.
     """
     if k + l > ball.radius:
         raise ValueError("ball too small for the requested factorisations")
@@ -128,7 +129,12 @@ def permissible_pairs(group: ArtinGroup, ball: ElementBall, k: int, l: int):
     prods = np.array(ball.products(us, vs), dtype=np.int64).reshape(len(us), len(vs))
     a, b = np.nonzero(np.asarray(ball.length)[prods] == k + l)
     eu, ev = [ball.element(i) for i in us], [ball.element(i) for i in vs]
-    keep = np.array([group.permissible(eu[i], ev[j]) for i, j in zip(a, b)], dtype=bool)
+    ids: dict = {}  # one class id per facing tuple
+    cu = np.array([ids.setdefault(group.facing(g, "right"), len(ids)) for g in eu], dtype=np.int64)
+    cv = np.array([ids.setdefault(group.facing(g, "left"), len(ids)) for g in ev], dtype=np.int64)
+    _, first, slot = np.unique(cu[a] * len(ids) + cv[b], return_index=True, return_inverse=True)
+    verdict = np.array([group.permissible(eu[a[f]], ev[b[f]]) for f in first], dtype=bool)
+    keep = verdict[slot]
     a, b = a[keep], b[keep]
     return np.asarray(us, dtype=np.int64)[a], np.asarray(vs, dtype=np.int64)[b], prods[a, b]
 

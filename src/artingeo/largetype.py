@@ -4,15 +4,16 @@ Multi-generator machinery for Artin groups of large type.
 For a pair of generators i, j write G(i,j) for the subgroup they generate,
 a dihedral Artin group on the label m_ij.  Every element g has a unique
 longest left divisor LD_ij(g) in G(i,j) and a unique longest right divisor
-RD_ij(g); LD is computed by re-reducing under a letter order that lists the
-letters of names i and j first and taking the maximal {i,j}-prefix of the
-resulting normal form, RD by inverting.  G(i,j) is reached through
+RD_ij(g); LD_ij(g) = g for g in G(i,j), and otherwise LD is the maximal
+{i,j}-prefix of the normal form under a letter order listing names i and j
+first, RD_ij(g) = LD_ij(g^-1)^-1.  G(i,j) is reached through
 dihedral_ctx(i, j), a lookup in the table of contexts the group builds once
 (finite labels first): parabolic subgroups are convex, so the dihedral
 calculus runs on this group's own engine and letters, with no renaming.
 
 A geodesic factorisation (g1, g2) is *permissible* when the dihedral pair
-(RD_ij(g1), LD_ij(g2)) is permissible in G(i,j) for every pair i < j.
+(RD_ij(g1), LD_ij(g2)) is permissible in G(i,j) for every pair i < j: a
+function of the facing divisors, computed once per element (facing).
 
 Merging strips material from the facing ends of a pair (g1, g2), one move
 at a time, and carries the state (f1, h1, f2, h2) with g1 = f1 h1 and
@@ -199,10 +200,19 @@ class ArtinGroup:
             i, j = j, i
         if i < 1 or j > self.pres.n:
             raise ValueError(f"generator {i if i < 1 else j} is not one of 1..{self.pres.n}")
+        if names(g.word) <= {i, j}:  # g lies in G(i,j)
+            return GroupElement(self.engine, g.word)
         return self.element(_pair_prefix(self.engine.reordered(i, j).nf(g.word), i, j))
 
+    @memo(lambda g, i, j: (g.word, i, j))
     def rd(self, g: GroupElement, i: int, j: int) -> GroupElement:
         return self.ld(g.inv(), i, j).inv()
+
+    @memo(lambda g, side: (g.word, side))
+    def facing(self, g: GroupElement, side: str) -> tuple[GroupElement, ...]:
+        """RD_p(g) (side "right") or LD_p(g) (side "left") per finite pair p, in context order."""
+        divisor = self.rd if side == "right" else self.ld
+        return tuple(divisor(g, *ctx.pair) for ctx in self._finite)
 
     def ld_prime(self, g: GroupElement, i: int, j: int):
         """
@@ -251,10 +261,9 @@ class ArtinGroup:
         """(g1, g2) is geodesic and dihedrally permissible on every pair."""
         if len(g1 * g2) != len(g1) + len(g2):
             return False
-        for ctx in self._finite:  # on a free pair every geodesic factorisation is allowed
-            if not ctx.permissible(self.rd(g1, *ctx.pair), self.ld(g2, *ctx.pair))[0]:
-                return False
-        return True
+        # only finite pairs: on a free pair every geodesic factorisation is allowed
+        facing = zip(self._finite, self.facing(g1, "right"), self.facing(g2, "left"))
+        return all(ctx.permissible(rd, ld)[0] for ctx, rd, ld in facing)
 
     # -- merging ----------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Norms, convolution, projections, the convolution inequality, operator norms."""
 
+import itertools
 from bisect import bisect_right
 
 import numpy as np
@@ -11,6 +12,7 @@ from artingeo.harmonic import (
     operator_norm_profile,
     permissible_fact_counts,
     permissible_fact_sup,
+    permissible_pairs,
     projection,
     star_star_trials,
 )
@@ -235,6 +237,69 @@ def test_fact_counts_match_oracle(stash):
                     oracle_ball.index[ball.words[g]], k, l, permissible
                 )
                 assert counts.get(g, 0) == want, (k, l, ball.words[g])
+
+
+def check_pairs_against_the_per_pair_filter(group, ball, k, l, monkeypatch):
+    """
+    Assert that permissible_pairs gives, in the same row-major order, the pairs
+    that asking group.permissible of every geodesic pair gives; return the
+    number of rejected geodesic pairs and the calls permissible_pairs made.
+    """
+    asked = group.permissible
+    us, vs = ball.sphere(k), ball.sphere(l)
+    geodesic = [
+        (u, v, g)
+        for (u, v), g in zip(itertools.product(us, vs), ball.products(us, vs))
+        if ball.length[g] == k + l
+    ]
+    want = [(u, v, g) for u, v, g in geodesic if asked(ball.element(u), ball.element(v))]
+    calls = []
+    monkeypatch.setattr(group, "permissible", lambda *p: calls.append(p) or asked(*p))
+    got = permissible_pairs(group, ball, k, l)
+    monkeypatch.undo()
+    assert list(zip(*(x.tolist() for x in got))) == want, (k, l)
+    return len(geodesic) - len(want), len(calls)
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [
+        ("triangle444", 5),
+        ("triangle345", 4),
+        ("counterexample433", 4),
+        ("da3", 6),
+        ("da4", 5),
+        ("dainf", 4),
+    ],
+)
+def test_permissible_pairs_equal_the_per_pair_filter(stash, name, radius, monkeypatch):
+    # one verdict per class of facing divisors, on every cell k + l <= radius
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    ball = group.ball(radius)
+    for k in range(radius + 1):
+        for l in range(radius + 1 - k):
+            _, calls = check_pairs_against_the_per_pair_filter(group, ball, k, l, monkeypatch)
+            if name == "dainf":  # no finite pair: every geodesic pair is one class
+                assert calls == 1, (k, l)
+
+
+@pytest.mark.parametrize(
+    "name, radius, k, l",
+    [
+        ("triangle444", 6, 3, 3),
+        ("triangle345", 6, 3, 3),
+        ("counterexample433", 6, 3, 3),
+        ("da3", 9, 4, 5),
+        ("da4", 8, 4, 4),
+    ],
+)
+def test_permissible_pairs_keep_the_rejections(stash, name, radius, k, l, monkeypatch):
+    # the cells of the test above hold no rejected geodesic pair, so a class
+    # route that merged classes would pass there; each cell here holds some
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    ball = group.ball(radius)
+    rejected, _ = check_pairs_against_the_per_pair_filter(group, ball, k, l, monkeypatch)
+    assert rejected > 0
 
 
 def test_star_star_trials_properties(da3, ball6):

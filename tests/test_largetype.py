@@ -1,5 +1,7 @@
 """Multi-generator engine: normal forms, divisors, permissibility, merging."""
 
+import random
+
 import pytest
 
 from artingeo.largetype import (
@@ -8,6 +10,7 @@ from artingeo.largetype import (
     MergerTriple,
     OnetailFailure,
     STResult,
+    _pair_prefix,
 )
 from artingeo.presentation import INF, CoxeterPresentation
 from artingeo.shortlex import default_order
@@ -158,6 +161,72 @@ def test_ld_is_the_longest_pair_word_among_the_left_divisors(stash, name, radius
             longest = max(map(len, pair_words))
             (top,) = [w for w in pair_words if len(w) == longest]
             assert group.ld(g, i, j).word == top, (name, g.word, i, j)
+
+
+def ld_by_reordering(group, g, i, j):
+    """LD_ij(g) as the maximal {i,j}-prefix of g's normal form under a reordered engine."""
+    return group.element(_pair_prefix(group.engine.reordered(i, j).nf(g.word), i, j))
+
+
+@pytest.mark.parametrize(
+    "name, radius", [("triangle444", 5), ("da4", 6), ("counterexample433", 4)]
+)
+def test_ld_shortcut_and_rd_memo_match_the_reordered_engine(stash, name, radius):
+    # ld returns g itself when g is spelled in names i and j, and re-reduces
+    # under a reordered engine otherwise; the memoised rd is ld of the inverse
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    ball = group.ball(radius)
+    shortcut = reordered = 0
+    for idx in range(len(ball)):
+        g = ball.element(idx)
+        for i, j in group.pres.pairs():
+            if names(g.word) <= {i, j}:
+                shortcut += 1
+            else:
+                reordered += 1
+            assert group.ld(g, i, j) == ld_by_reordering(group, g, i, j), (name, g, i, j)
+            rd = group.rd(g, i, j)
+            assert rd == group.ld(g.inv(), i, j).inv(), (name, g, i, j)
+            assert rd == ld_by_reordering(group, g.inv(), i, j).inv(), (name, g, i, j)
+    # on two generators every element lies in G(1,2)
+    assert shortcut > 0 and (reordered > 0) == (group.pres.n > 2)
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [
+        ("triangle444", 5),
+        ("triangle345", 4),
+        ("counterexample433", 4),
+        ("da3", 6),
+        ("da4", 5),
+        ("dainf", 4),
+    ],
+)
+def test_permissible_matches_the_per_pair_reordered_formula(stash, name, radius):
+    # seeded pairs, geodesic or not, half of them drawn from the positive
+    # elements so that Delta-decreasing rejections occur: the verdict read off
+    # the facing tuples equals the one that re-reduces each pair's divisors
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    ball = group.ball(radius)
+    positive = [idx for idx, w in enumerate(ball.words) if all(a > 0 for a in w)]
+    finite = [p for p in group.pres.pairs() if group.pres.label(*p) is not INF]
+    rng = random.Random(7)
+    kinds = set()
+    for t in range(600):
+        pool = positive if t % 2 else range(len(ball))
+        u, v = (ball.element(rng.choice(pool)) for _ in range(2))
+        geodesic = len(u * v) == len(u) + len(v)
+        want = geodesic and all(
+            group.dihedral_ctx(i, j).permissible(
+                ld_by_reordering(group, u.inv(), i, j).inv(), ld_by_reordering(group, v, i, j)
+            )[0]
+            for i, j in finite
+        )
+        assert group.permissible(u, v) == want, (name, u, v)
+        kinds.add((geodesic, want))
+    rejected = {(True, False)} if finite else set()
+    assert kinds == {(False, False), (True, True)} | rejected
 
 
 def test_ld_prime_cases(g345):
@@ -416,6 +485,8 @@ def test_rightward_sequence_changes_last_letter(g345, stash):
 def test_memo_returns_the_stored_object(g345):
     g = g345.element("acabcb")
     assert g345.ld(g, 1, 2) is g345.ld(g, 1, 2)
+    assert g345.rd(g, 1, 2) is g345.rd(g, 1, 2)
+    assert g345.facing(g, "left") is g345.facing(g, "left")
     assert g345.engine.geodesic_words(g) is g345.engine.geodesic_words(g)
     assert g345.dihedral_ctx(2, 1) is g345.dihedral_ctx(1, 2)
     ball = g345.ball(2)
