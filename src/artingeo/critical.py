@@ -372,11 +372,6 @@ def _apply_moves(w: Word, moves) -> Optional[Word]:
     return None if out is None else tuple(out)
 
 
-def rightward_letter_change(w: Word, label: LabelFn, target: int) -> Optional[Word]:
-    """The word ending in target that a rightward sequence reaches from w, or None."""
-    return _apply_moves(w, rightward_moves(w, label, len(w), target))
-
-
 def rightward_length_reduction(w: Word, label: LabelFn) -> Optional[Word]:
     """w = z a freely reduced after the rightward sequence on z ending in a^-1, or None."""
     moved = _apply_moves(w, rightward_moves(w, label, len(w) - 1, -w[-1])) if w else None

@@ -10,6 +10,8 @@ first, RD_ij(g) = LD_ij(g^-1)^-1.  G(i,j) is reached through
 dihedral_ctx(i, j), a lookup in the table of contexts the group builds once
 (finite labels first): parabolic subgroups are convex, so the dihedral
 calculus runs on this group's own engine and letters, with no renaming.
+dihedral_ctx takes the pair in either order and is the one check of a pair:
+it raises ValueError when i = j or a generator is not one of 1..n.
 
 A geodesic factorisation (g1, g2) is *permissible* when the dihedral pair
 (RD_ij(g1), LD_ij(g2)) is permissible in G(i,j) for every pair i < j: a
@@ -31,7 +33,8 @@ divisor of f2, read from the memoised set engine.left_divisor_words(f2)
 before any product is formed, and in (iii) the exponent sums of the G(i,j)
 heads fix exp(h) before h^-1 Delta^e is formed, so the move order is unchanged.
 While the accumulated middle power Delta_ij^r is nonzero all moves must
-take h, h' inside the active G(i,j); when r = 0 cancellation is
+take h, h' inside the active G(i,j), whose context the merge carries from
+move to move; when r = 0 there is no active context, cancellation is
 unrestricted and a Delta move fixes a new active pair (the lexicographically
 least pair admitting one; only finite labels can).  When no move applies
 the triple (f1, Delta_ij^r, f2) is a merger: h1 h2 = Delta_ij^r and both
@@ -44,11 +47,13 @@ Mergers of all length-(k,l) decompositions of g form the set S(g,k,l); T(k,l)
 collects the middle powers.  The decompositions Fact_{k,l}(g) are read off the
 fact_table(k, l) of the ball of radius k + l, the table the D2 scan walks and
 the oracle ball counts with.  S splits into S0 (r = 0 with both sides powers
-of one generator) and, via the reduction-to-two-generators construction, S1
-(the extracted f1'' fhat f2'' factorisation is geodesic) and S2 (it is not,
-in which case fhat = a^s b^t and a crossing letter c with balanced powers
-c^q / c^-q can be extracted).  The decomposition validates every structural
-claim it relies on and reports violations as events instead of hiding them.
+of one generator) and, via the reduction-to-two-generators construction on
+the context of the merger's pair (for r = 0, the least pair whose facing
+divisors use both names), S1 (the extracted f1'' fhat f2'' factorisation is
+geodesic) and S2 (it is not, in which case fhat = a^s b^t and a crossing
+letter c with balanced powers c^q / c^-q can be extracted).  The
+decomposition validates every structural claim it relies on and reports
+violations as events instead of hiding them.
 
 Operations marked as requiring the no-(3,3,m)-triangle hypothesis refuse
 presentations without it unless the context was built with
@@ -109,8 +114,7 @@ class MergerTriple:
     trace: tuple[MergeStep, ...]
 
     def key(self):
-        pair = self.pair if self.r != 0 else None
-        return (self.f1.word, pair, self.r, self.f2.word)
+        return (self.f1.word, self.pair, self.r, self.f2.word)
 
 
 @dataclass
@@ -186,21 +190,22 @@ class ArtinGroup:
     # -- dihedral subgroup plumbing -------------------------------------------
 
     def dihedral_ctx(self, i: int, j: int) -> DihedralContext:
-        """The calculus of G(i,j) on this group's engine (one context per pair)."""
-        return self._contexts[(i, j) if i < j else (j, i)]
+        """The calculus of G(i,j) on this group's engine (one context per pair, either order)."""
+        ctx = self._contexts.get((i, j) if i < j else (j, i))
+        if ctx is None:
+            if i == j:
+                raise ValueError("G(i,j) needs two distinct generators")
+            bad = min(i, j) if min(i, j) < 1 else max(i, j)
+            raise ValueError(f"generator {bad} is not one of 1..{self.pres.n}")
+        return ctx
 
     # -- divisors ----------------------------------------------------------------
 
     @memo(lambda g, i, j: (g.word, i, j))
     def ld(self, g: GroupElement, i: int, j: int) -> GroupElement:
         """Longest left divisor of g inside G(i,j)."""
-        if i == j:
-            raise ValueError("ld needs two distinct generators")
-        if i > j:
-            i, j = j, i
-        if i < 1 or j > self.pres.n:
-            raise ValueError(f"generator {i if i < 1 else j} is not one of 1..{self.pres.n}")
-        if names(g.word) <= {i, j}:  # g lies in G(i,j)
+        i, j = self.dihedral_ctx(i, j).pair
+        if names(g.word) <= {i, j}:  # g lies in G(i,j); g may be another engine's element
             return GroupElement(self.engine, g.word)
         return self.element(_pair_prefix(self.engine.reordered(i, j).nf(g.word), i, j))
 
@@ -211,6 +216,8 @@ class ArtinGroup:
     @memo(lambda g, side: (g.word, side))
     def facing(self, g: GroupElement, side: str) -> tuple[GroupElement, ...]:
         """RD_p(g) (side "right") or LD_p(g) (side "left") per finite pair p, in context order."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side is 'left' or 'right', not {side!r}")
         divisor = self.rd if side == "right" else self.ld
         return tuple(divisor(g, *ctx.pair) for ctx in self._finite)
 
@@ -223,8 +230,7 @@ class ArtinGroup:
         dividing LD on the right.
         """
         self.require_33m("the unique-tail divisor LD'")
-        if i > j:
-            i, j = j, i
+        i, j = self.dihedral_ctx(i, j).pair
         ld = self.ld(g, i, j)
         L = len(ld)
         reps = self.engine.geodesic_words(g)
@@ -283,12 +289,13 @@ class ArtinGroup:
             return None
         return f1n, h * h1, f2n, h2 * hp
 
-    def _find_merge_move(self, state, r, pair):
+    def _find_merge_move(self, state, r, active):
         """
         The preferred move on the state (f1, h1, f2, h2) with middle Delta^r,
-        as (kind, h, h', r after, pair after, state after), or None.  With
-        pair None (only when r = 0) cancellation is unrestricted and Delta
-        moves try every finite pair, otherwise every move stays inside G(pair).
+        as (kind, h, h', r after, active context after, state after), or None.
+        With no active DihedralContext (only when r = 0) cancellation is
+        unrestricted and Delta moves try every finite pair, otherwise every
+        move stays inside the active G(i,j).
         """
         f1, _h1, f2, _h2 = state
         # _strip accepts only an h' in heads: see the module docstring
@@ -298,15 +305,14 @@ class ArtinGroup:
             return x if r % 2 == 0 else ctx.element(ctx.delta_word(x.word, r))
 
         # (i) cancellation
-        ctx = self.dihedral_ctx(*pair) if pair else None
         for j_len in range(min(len(f1), len(f2)), 0, -1):
-            for h in self._right_divisors(f1, j_len, ctx):
-                hp = conj(h.inv(), ctx)
+            for h in self._right_divisors(f1, j_len, active):
+                hp = conj(h.inv(), active)
                 new = hp.word in heads and self._strip(state, h, hp)
                 if new:
-                    return ("cancel", h, hp, r, pair, new)
+                    return ("cancel", h, hp, r, active, new)
         # Delta moves on the finite pairs; an infinite active pair admits none
-        ctxs = [c for c in self._finite if pair in (None, c.pair)]
+        ctxs = [c for c in self._finite if active in (None, c)]
         # (ii) double Delta, both sides signed
         if f1.sign != "unsigned" and f2.sign != "unsigned":
             for ctx in ctxs:
@@ -314,7 +320,7 @@ class ArtinGroup:
                     h = ctx.delta_elem(eps)
                     new = h.word in heads and self._strip(state, h, h)
                     if new:
-                        return ("double-delta", h, h, r + 2 * eps, ctx.pair, new)
+                        return ("double-delta", h, h, r + 2 * eps, ctx, new)
         # (iii) Delta extraction: h' is a nontrivial G(p) member of heads; the
         # exponent sum, kept by delta, of h * delta^r(h') = Delta^e is e m
         for ctx in ctxs:
@@ -332,24 +338,24 @@ class ArtinGroup:
                             continue
                         new = self._strip(state, h, hp)
                         if new:
-                            return ("delta-extract", h, hp, r + eps, ctx.pair, new)
+                            return ("delta-extract", h, hp, r + eps, ctx, new)
         return None
 
     def merge(self, g1: GroupElement, g2: GroupElement) -> MergerTriple:
         """Merge the pair (g1, g2); the active dihedral pair may change while r = 0."""
         self.require_33m("merging")
-        state, r, pair = (g1, self.identity, g2, self.identity), 0, None
+        state, r, ctx = (g1, self.identity, g2, self.identity), 0, None
         trace: list[MergeStep] = []
         while True:
-            mv = self._find_merge_move(state, r, pair)
+            mv = self._find_merge_move(state, r, ctx)
             if mv is None:
                 break
-            kind, h, hp, r, pair, state = mv
+            kind, h, hp, r, ctx, state = mv
             if r == 0:
-                pair = None
+                ctx = None
             trace.append(MergeStep(kind, h.word, hp.word, r))
         f1, h1, f2, h2 = state
-        return MergerTriple(f1, pair, r, f2, h1, h2, tuple(trace))
+        return MergerTriple(f1, ctx.pair if ctx else None, r, f2, h1, h2, tuple(trace))
 
     def middle_of(self, t: MergerTriple) -> GroupElement:
         if t.r == 0:
@@ -376,12 +382,8 @@ class ArtinGroup:
 
     # -- the S0 u S1 u S2 decomposition ---------------------------------------------------
 
-    def _in_single_generator(self, g: GroupElement) -> bool:
-        return syllable_count(g.word) <= 1
-
-    def _inner_merger_checks(self, pair, state, r, events, tag):
-        """Validate that the state (f1', h1', f2', h2') and Delta^r form a merger in G(pair)."""
-        ctx = self.dihedral_ctx(*pair)
+    def _inner_merger_checks(self, ctx, state, r, events, tag):
+        """Validate that the state (f1', h1', f2', h2') and Delta^r form a merger in G(ctx.pair)."""
         f1p, h1p, f2p, h2p = state
         if ctx.m is not INF:
             if (h1p * h2p) != ctx.delta_elem(r):
@@ -392,7 +394,7 @@ class ArtinGroup:
             events.append(f"{tag}: (f1', h1') not permissible")
         if not ctx.permissible(h2p, f2p)[0]:
             events.append(f"{tag}: (h2', f2') not permissible")
-        if self._find_merge_move(state, r, pair) is not None:
+        if self._find_merge_move(state, r, ctx) is not None:
             events.append(f"{tag}: inner triple admits a further move")
 
     def split_s(self, st: STResult, g: GroupElement) -> SDecomposition:
@@ -403,8 +405,8 @@ class ArtinGroup:
             tag = f"triple {key}"
             if (
                 t.r == 0
-                and self._in_single_generator(t.f1)
-                and self._in_single_generator(t.f2)
+                and syllable_count(t.f1.word) <= 1
+                and syllable_count(t.f2.word) <= 1
                 and (
                     len(t.f1) == 0
                     or len(t.f2) == 0
@@ -421,21 +423,18 @@ class ArtinGroup:
         return out
 
     def _choose_pair_r0(self, t: MergerTriple):
-        """The r = 0 pair choice: lexicographically least, finite labels first."""
-        for i, j in self._contexts:
+        """The r = 0 pair context: lexicographically least, finite labels first."""
+        for (i, j), ctx in self._contexts.items():
             if len(names(self.rd(t.f1, i, j).word) | names(self.ld(t.f2, i, j).word)) > 1:
-                return i, j
+                return ctx
         return None
 
     def _split_one(self, t: MergerTriple, g, events, tag) -> SWitness:
-        if t.r != 0:
-            i, j = t.pair
-        else:
-            pair = self._choose_pair_r0(t)
-            if pair is None:
-                events.append(f"{tag}: no usable pair for the r = 0 case")
-                return SWitness(t, "S2")
-            i, j = pair
+        ctx = self.dihedral_ctx(*t.pair) if t.r != 0 else self._choose_pair_r0(t)
+        if ctx is None:
+            events.append(f"{tag}: no usable pair for the r = 0 case")
+            return SWitness(t, "S2")
+        i, j = ctx.pair
         f1p = self.rd(t.f1, i, j)
         f2p = self.ld(t.f2, i, j)
         h1p = self.ld(t.h1, i, j)
@@ -452,20 +451,20 @@ class ArtinGroup:
         if f1pp * fhat * f2pp != g:
             events.append(f"{tag}: g != f1'' fhat f2''")
         # property (3): the inner dihedral merger
-        self._inner_merger_checks((i, j), (f1p, h1p, f2p, h2p), t.r, events, tag)
-        if self._in_single_generator(fhat):
+        self._inner_merger_checks(ctx, (f1p, h1p, f2p, h2p), t.r, events, tag)
+        if syllable_count(fhat.word) <= 1:
             events.append(f"{tag}: fhat lies in a cyclic subgroup")
         inner = (f1p, t.r, f2p)
         geodesic = len(f1pp) + len(fhat) + len(f2pp) == len(g)
         if geodesic:
-            return SWitness(t, "S1", (i, j), f1pp, fhat, f2pp, inner)
-        s2w = self._s2_witness((i, j), f1pp, fhat, f2pp, events, tag)
-        return SWitness(t, "S2", (i, j), f1pp, fhat, f2pp, inner, s2w)
+            return SWitness(t, "S1", ctx.pair, f1pp, fhat, f2pp, inner)
+        s2w = self._s2_witness(ctx, f1pp, fhat, f2pp, events, tag)
+        return SWitness(t, "S2", ctx.pair, f1pp, fhat, f2pp, inner, s2w)
 
-    def _s2_witness(self, pair, f1pp, fhat, f2pp, events, tag):
+    def _s2_witness(self, ctx, f1pp, fhat, f2pp, events, tag):
         """Extract and validate the crossing-letter witness for an S2 triple."""
-        i, j = pair
-        if self.pres.label(i, j) is INF:
+        i, j = ctx.pair
+        if ctx.m is INF:
             events.append(f"{tag}: S2 with an infinite label")
         w = fhat.word
         if syllable_count(w) != 2:

@@ -80,22 +80,12 @@ def pair_first_order(n: int, i: int, j: int) -> LetterOrder:
     return head + tail
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """An element certified by its shortlex normal form under a fixed order."""
 
     engine: "ShortlexEngine"
     word: Word
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElement)
-            and self.engine is other.engine
-            and self.word == other.word
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.word)
 
     def __len__(self) -> int:
         return len(self.word)

@@ -18,6 +18,7 @@ from .harmonic import permissible_fact_sup, star_star_trials
 from .largetype import ArtinGroup, OnetailFailure
 from .oracle import Oracle
 from .presentation import INF, CoxeterPresentation
+from .presets import load_preset
 from .words import alt_starting, format_word, parse_word
 
 
@@ -179,8 +180,6 @@ def repro_paper() -> list[dict]:
     check("alternating-words", alternating_words)
 
     def classifications():
-        from .presets import load_preset
-
         c345 = load_preset("triangle345").classification()
         c433 = load_preset("counterexample433").classification()
         c4 = load_preset("da4").classification()
@@ -227,8 +226,6 @@ def repro_paper() -> list[dict]:
     check("dihedral-geodesic-sets", geodesic_sets)
 
     def rightward_example():
-        from .presets import load_preset
-
         group = ArtinGroup(load_preset("triangle345"))
         oracle = Oracle(group.pres)
         t0 = time.perf_counter()
@@ -242,7 +239,6 @@ def repro_paper() -> list[dict]:
 
     def displayed_sequence():
         from .critical import classify_critical, tau as tau_of
-        from .presets import load_preset
         from .words import free_reduce
 
         pres = load_preset("triangle345")
@@ -262,8 +258,6 @@ def repro_paper() -> list[dict]:
     check("displayed-critical-sequence", displayed_sequence)
 
     def counterexample():
-        from .presets import load_preset
-
         group = ArtinGroup(load_preset("counterexample433"), allow_counterexample=True)
         g = group.element("babacabab")
         ld = group.ld(g, 1, 2)
@@ -282,8 +276,6 @@ def repro_paper() -> list[dict]:
     check("unique-tail-counterexample", counterexample)
 
     def oracle_spot_checks():
-        from .presets import load_preset
-
         orc = Oracle(load_preset("triangle345"))
         ok = (
             orc.equal("aba", "bab")

@@ -127,19 +127,24 @@ def test_error_json(capsys):
         ["--allow-counterexample", "d1-scan", "--radius", "2"],
         ["--allow-counterexample", "rd-check", "--radius", "2"],
         ["d1-scan", "--radius", "4", "--min-kl", "1", "3"],
+        ["divisors", "ab", "2", "2"],
+        ["divisors", "ab", "0", "1"],
     ],
     ids=[
         "ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors",
         "d1-scan-min-kl", "d1-scan-min-kl-empty", "nf-out", "geodesic-out",
         "divisors-out", "merge-out", "compress-out", "repro-paper-preset", "nf-allow",
         "geodesic-allow", "ball-allow", "d1-scan-allow", "rd-check-allow", "d1-scan-min-kl-no-cell",
+        "divisors-same", "divisors-zero",
     ],
 )
 def test_out_of_range_input(capsys, argv):
     code, payload = run_json(capsys, "--preset", "da3", "--json", *argv)
     assert code == 2 and "error" in payload
     if argv[0] == "divisors":
-        assert "generator 5" in payload["error"]
+        pair = tuple(argv[2:])
+        expected = {("1", "5"): "generator 5", ("2", "2"): "distinct", ("0", "1"): "generator 0"}[pair]
+        assert expected in payload["error"]
     if argv[-2:] == ["1", "3"]:
         assert "--min-kl 3" in payload["error"] and "radius 4" in payload["error"]
 

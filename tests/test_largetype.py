@@ -461,7 +461,7 @@ def test_geodesic_letter_powers(g345):
 def test_rightward_sequence_changes_last_letter(g345, stash):
     # same-element geodesics with different last letters are linked by a
     # single rightward critical sequence
-    from artingeo.critical import rightward_letter_change
+    from test_critical import rightward_chain_states
 
     ball = stash.oracle_ball("triangle345", 4)
     checked = 0
@@ -472,8 +472,9 @@ def test_rightward_sequence_changes_last_letter(g345, stash):
             continue
         for v in reps:
             for target in lasts - {v[-1]}:
-                res = rightward_letter_change(v, g345.engine.label, target)
-                assert res is not None, (v, target)
+                states = rightward_chain_states(v, g345.engine.label, len(v), target)
+                assert states, (v, target)
+                res = states[-1][0]
                 assert res[-1] == target and g345.engine.nf(res) == g345.engine.nf(v)
                 checked += 1
     assert checked > 10
@@ -511,6 +512,42 @@ def test_memo_keys_are_words(stash):
     assert strict.ld(g, 1, 2).engine is strict.engine
     ld = loose.ld(g, 1, 2)
     assert ld.engine is loose.engine and ld.word == strict.ld(g, 1, 2).word
+    # also when the element lies in G(i,j), so ld answers without a search
+    fresh = ArtinGroup(strict.pres)
+    assert fresh.ld(strict.element("abab"), 1, 2).engine is fresh.engine
+    assert fresh.ld(fresh.element("abab"), 1, 2) == fresh.element("abab")
+
+
+@pytest.mark.parametrize("question", ["dihedral_ctx", "ld", "rd", "ld_prime"])
+@pytest.mark.parametrize("name", ["triangle345", "da3"])
+def test_pair_questions_refuse_a_bad_pair(stash, name, question):
+    group = stash.group(name)
+    n = group.pres.n
+    ask = getattr(group, question)
+    element = () if question == "dihedral_ctx" else (group.element("ab"),)
+    for (i, j), text in (
+        ((1, 1), "distinct"),
+        ((0, 2), f"generator 0 is not one of 1..{n}"),
+        ((1, n + 1), f"generator {n + 1} is not one of 1..{n}"),
+    ):
+        with pytest.raises(ValueError, match=text):
+            ask(*element, i, j)
+
+
+def test_facing_refuses_an_unknown_side(g345):
+    g = g345.element("acabcb")
+    with pytest.raises(ValueError, match="rigth"):
+        g345.facing(g, "rigth")
+
+
+def test_group_elements_are_equal_by_engine_and_word(g345):
+    a = g345.element("ab")
+    # the same word in a second group of the same presentation
+    assert ArtinGroup(g345.pres).element("ab") != a
+    twin = g345.element("abcC")
+    assert twin == a and twin is not a and hash(twin) == hash(a)
+    assert len({a, twin, g345.element("ba")}) == 2
+    assert a != a.word
 
 
 def test_dropped_group_is_freed_without_the_cyclic_gc():
