@@ -84,10 +84,6 @@ class DihedralContext:
     def element(self, word) -> GroupElement:
         return self.engine.element(word)
 
-    @property
-    def identity(self) -> GroupElement:
-        return self.engine.identity
-
     def _require_finite(self):
         if self.m is INF:
             raise ValueError("operation requires a finite dihedral label")

@@ -104,7 +104,7 @@ class GroupFunction:
         acc: dict[Word, complex] = {}
         for u, a in self.items():
             for v, b in other.items():
-                uv = self.group.engine.nf(u + v)
+                uv = self.group.engine.nf(v, u)
                 acc[uv] = acc.get(uv, 0) + a * b
         return GroupFunction(self.group, acc)
 

@@ -9,8 +9,8 @@ word was geodesic but not lex-least).  By the lemma of Holt and Rees
 (Proc. LMS 2012) that sequence touches the appended letter, so the searches
 of :mod:`artingeo.critical` start at the end of the word; they require what
 `append` guarantees, a shortlex-minimal word minus its last letter.  A
-length repair is renormalised; a lex repair is the normal form.  The tests
-certify the searches against the brute-force oracle on exhaustive sets.
+length repair is renormalised from its first changed letter; a lex repair
+is the normal form.  Tests certify the searches against the oracle.
 
 Group elements are identified with their normal-form words, so element
 equality is word equality and all higher layers (divisors, factorisation
@@ -35,6 +35,12 @@ from .presentation import CoxeterPresentation
 from .words import Word, format_word, inverse_word, parse_word, sign_class
 
 LetterOrder = tuple[int, ...]
+
+# `append` keeps rows only for z of at most ROW_CAP letters: balls and merges
+# revisit short words, but a repair resumes at its first change, so rows for
+# a long word's prefixes are seldom read and would hold O(L^2) letters.  A
+# smaller cap costs searches on signed 400-letter da3 words.
+ROW_CAP = 256
 
 
 def memo(key: Callable[..., Hashable]):
@@ -91,7 +97,7 @@ class GroupElement:
         return len(self.word)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.engine.multiply(self, other)
+        return GroupElement(self.engine, self.engine.nf(other.word, self.word))
 
     def inv(self) -> "GroupElement":
         return self.engine.invert(self)
@@ -127,7 +133,8 @@ class ShortlexEngine:
 
     def append(self, z: Word, a: int) -> Word:
         """Normal form of z*a for z already in normal form."""
-        row = self._append.setdefault(z, {})  # hashes z once, hit or miss
+        # hashes z once, hit or miss; a longer z gets a row that is not kept
+        row = self._append.setdefault(z, {}) if len(z) <= ROW_CAP else {}
         hit = row.get(a)
         if hit is not None:
             return hit
@@ -143,14 +150,15 @@ class ShortlexEngine:
     def _repair(self, w: Word) -> Word:
         red = rightward_length_reduction(w, self.label)
         if red is not None:
-            return self.nf(red)
+            # |red| = |w| - 2, so its first change p < |w| - 1 and w[:p] is normal
+            p = next((i for i, (a, b) in enumerate(zip(red, w)) if a != b), len(red))
+            return self.nf(red[p:], w[:p])
         return leftward_lex_reduction(w, self.label, self.lex_key) or w
 
-    def nf(self, word: Iterable[int] | str) -> Word:
-        """Shortlex normal form of an arbitrary word."""
+    def nf(self, word: Iterable[int] | str, z: Word = ()) -> Word:
+        """Shortlex normal form of z*word, for z already in normal form."""
         if isinstance(word, str):
             word = parse_word(word)
-        z: Word = ()
         for a in word:
             z = self.append(z, a)
         return z
@@ -168,12 +176,6 @@ class ShortlexEngine:
 
     def element(self, word: Iterable[int] | str) -> GroupElement:
         return GroupElement(self, self.nf(word))
-
-    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        z = g.word
-        for a in h.word:
-            z = self.append(z, a)
-        return GroupElement(self, z)
 
     def invert(self, g: GroupElement) -> GroupElement:
         hit = self._inv.get(g.word)

@@ -107,7 +107,7 @@ def test_garside_power(da3, free):
     assert da3.garside_power(da3.element("ab")) == 0
     assert da3.garside_power(da3.delta_elem(2)) == 2
     assert da3.garside_power(da3.element("ABA")) == 1
-    assert da3.garside_power(da3.identity) == 0
+    assert da3.garside_power(da3.element("")) == 0
     with pytest.raises(ValueError):
         da3.garside_power(da3.element("aB"))
     with pytest.raises(ValueError):

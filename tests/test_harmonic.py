@@ -221,22 +221,31 @@ def test_projection_matches_definition(stash, name, radius):
 
 
 def test_fact_counts_match_oracle(stash):
-    group = stash.group("triangle444")
-    ball = group.ball(5)
-    oracle_ball = stash.oracle_ball("triangle444", 5)
+    # triangle444 r5 rejects no geodesic pair, so there a count that ignored
+    # permissibility would pass; the da4 r8 cells (4, 4) and (3, 5) reject some
+    cases = [
+        ("triangle444", 5, [(k, l) for k in range(6) for l in range(6 - k)]),
+        ("da4", 8, [(4, 4), (3, 5)]),
+    ]
+    for name, radius, cells in cases:
+        group = stash.group(name)
+        ball = group.ball(radius)
+        oracle_ball = stash.oracle_ball(name, radius)
 
-    def permissible(w1, w2):
-        return group.permissible(group.element(w1), group.element(w2))
+        def permissible(w1, w2):
+            return group.permissible(group.element(w1), group.element(w2))
 
-    for k in range(6):
-        for l in range(6 - k):
+        for k, l in cells:
             counts = permissible_fact_counts(group, ball, k, l)
             assert set(counts) <= set(ball.sphere(k + l))
+            fewer = 0
             for g in ball.sphere(k + l):
-                want, _ = oracle_ball.fact_count(
-                    oracle_ball.index[ball.words[g]], k, l, permissible
-                )
-                assert counts.get(g, 0) == want, (k, l, ball.words[g])
+                idx = oracle_ball.index[ball.words[g]]
+                want, _ = oracle_ball.fact_count(idx, k, l, permissible)
+                assert counts.get(g, 0) == want, (name, k, l, ball.words[g])
+                fewer += want < oracle_ball.fact_count(idx, k, l)[0]
+            if name == "da4":
+                assert fewer > 0, (k, l)
 
 
 def check_pairs_against_the_per_pair_filter(group, ball, k, l, monkeypatch):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from artingeo import shortlex
 from artingeo.largetype import ArtinGroup
 from artingeo.presets import load_preset
 from artingeo.shortlex import ShortlexEngine
@@ -107,3 +108,54 @@ def test_free_group_sphere_growth():
     # the radii at which the oracle certifies the engine
     sizes = ArtinGroup(load_preset("dainf")).ball(8).sphere_sizes()
     assert sizes == {0: 1, **{k: 4 * 3 ** (k - 1) for k in range(1, 9)}}
+
+
+def test_length_repair_resumes_at_its_first_change(monkeypatch):
+    # after a rightward reduction w -> red, the word up to red's first change
+    # p is a prefix of the normal form being repaired, so the repair resumes
+    # there: the next append starts from w[:p], not from the empty word
+    pending = []
+    resumed = 0
+    reduce, append = shortlex.rightward_length_reduction, ShortlexEngine.append
+
+    def reduction(w, label):
+        red = reduce(w, label)
+        if red is not None:
+            p = next((i for i, (a, b) in enumerate(zip(red, w)) if a != b), len(red))
+            pending.append(w[:p])
+        return red
+
+    def watched(self, z, a):
+        nonlocal resumed
+        if pending:
+            start = pending.pop()
+            assert z == start, (len(z), len(start))
+            resumed += len(start) > 0
+        return append(self, z, a)
+
+    monkeypatch.setattr(shortlex, "rightward_length_reduction", reduction)
+    monkeypatch.setattr(ShortlexEngine, "append", watched)
+    rng = random.Random("resume")
+    for name in ["da3", "da4", "triangle345", "triangle444", "counterexample433"]:
+        pres = load_preset(name)
+        for _ in range(5):
+            ShortlexEngine(pres).nf(signed_word(rng, pres.n, 60))
+    assert resumed > 0
+
+
+def test_long_word_needs_linear_memory():
+    # append keeps rows only for short prefixes, so one nf of a freely
+    # reduced 10,000-letter dainf word holds O(L) letters; a row for every
+    # prefix takes about 400 MB.  tracemalloc, not ru_maxrss of a child
+    # process: on Linux a child carries the test runner's peak over exec
+    import tracemalloc
+
+    w = signed_word(random.Random("linear-memory"), 2, 10000)
+    engine = ShortlexEngine(load_preset("dainf"))
+    tracemalloc.start()
+    try:
+        assert len(engine.nf(w)) == 10000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, peak
