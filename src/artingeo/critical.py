@@ -1,5 +1,8 @@
 """
-The tau-calculus on 2-generator subwords.
+The tau-calculus on 2-generator subwords and the critical-sequence searches
+the shortlex engine and the brute-force oracle share; the dihedral move
+calculus (the geodesic criterion, over-critical moves, reduction) is
+:mod:`artingeo.dihedral`'s.
 
 Fix two generators with finite label m and write Delta for the alternating
 product of length m (the Garside element of the dihedral subgroup), and
@@ -8,9 +11,6 @@ identity when m is even, the name swap when m is odd.
 
 For a freely reduced word w over the pair, p(w) is the length of the longest
 positive alternating subword capped at m, and n(w) the negative counterpart.
-w is geodesic in the dihedral group iff p(w) + n(w) <= m, and is the unique
-geodesic spelling of its element iff p(w) + n(w) < m.
-
 A word with p + n = m is *critical* when it has the form B1 xi B2: B1 and B2
 are alternating boundary blocks of opposite signs, of head and tail letters
 with head + tail = m, maximal in the word and realising p and n, and xi is
@@ -19,11 +19,8 @@ empty: its letters share a sign and its one alternating subword of length m
 starts or ends it.  The involution tau swaps the two blocks for blocks of
 tail and head letters of the opposite signs around delta(xi); the two words
 represent the same element, and replacing a critical subword by its tau
-image is a *tau-move*.  The same block swap on an over-critical word
-(p + n > m, blocks capped at m and maximal in the host) is a
-*length-reducing* move, which shortens the word by 2(p + n - m) after free
-cancellation.  The critical subwords of a word are found by one scanner,
-anchored at an end index and walking the runs leftward.
+image is a *tau-move*.  The critical subwords of a word are found by one
+scanner, anchored at an end index and walking the runs leftward.
 
 Words that are not shortlex minimal are repaired by *critical sequences*:
 chains of tau-moves in which consecutive moved subwords overlap in exactly
@@ -79,22 +76,6 @@ def delta_word(w: Word, pair: tuple[int, int], m: int, power: int = 1) -> Word:
     return tuple(delta_letter(a, pair, m) for a in w)
 
 
-def pn_values(w: Word, m: int) -> tuple[int, int]:
-    """(p, n) for a freely reduced word over at most two generators."""
-    if not is_freely_reduced(w):
-        raise ValueError("word must be freely reduced")
-    if len(names(w)) > 2:
-        raise ValueError("word involves more than two generators")
-    p = 0
-    n = 0
-    for s, e in runs(w):
-        if w[s] > 0:
-            p = max(p, e - s)
-        else:
-            n = max(n, e - s)
-    return min(m, p), min(m, n)
-
-
 # ---------------------------------------------------------------------------
 # Critical words and tau
 # ---------------------------------------------------------------------------
@@ -145,7 +126,8 @@ def block_swap(w: Word, head: int, tail: int, m: int, pair: tuple[int, int]) -> 
     starts with the name w does not start with; B2' has m - tail letters,
     the sign opposite to B2 and ends with the name w does not end with.  An
     empty B1 takes the sign opposite to B2.  With head + tail = m this is
-    tau; on an over-critical word it is the length-reducing move.
+    tau; on an over-critical word it is the length-reducing move of
+    :mod:`artingeo.dihedral`.
     """
     x, t = abs(w[0]), abs(w[-1])
     y, z = pair[0] + pair[1] - x, pair[0] + pair[1] - t
@@ -231,109 +213,6 @@ def critical_spans_at(
 
 def apply_tau_at(w: Word, s: int, e: int, c: CriticalWord) -> Word:
     return w[:s] + tau(c) + w[e:]
-
-
-# ---------------------------------------------------------------------------
-# Over-critical subwords and length-reducing moves
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OverCriticalMove:
-    """A length-reducing move at a located over-critical subword of a host."""
-
-    start: int
-    end: int
-    p: int
-    n: int
-    kind: str  # 'unsigned' | 'positive' | 'negative'
-    image: Word
-
-
-def locate_overcritical(w: Word, s: int, e: int, m: int) -> OverCriticalMove:
-    """
-    Validate that w[s:e] is an over-critical occurrence in w and build its
-    length-reducing move.  The boundary blocks are the maximal alternating
-    runs at the ends of the subword, capped at m letters; a block of fewer
-    than m letters must be a full maximal run of the host word.
-    """
-    sub = w[s:e]
-    if not is_freely_reduced(sub) or len(names(sub)) != 2:
-        raise ValueError("subword is not a freely reduced 2-generator word")
-    nm = sorted(names(sub))
-    pair = (nm[0], nm[1])
-    sub_runs = runs(sub)
-    if len(sub_runs) < 2 or (sub[0] > 0) == (sub[-1] > 0):
-        raise ValueError("subword does not have opposite-sign boundary blocks")
-    b1 = min(m, sub_runs[0][1] - sub_runs[0][0])
-    b2 = min(m, sub_runs[-1][1] - sub_runs[-1][0])
-    p, n = (b1, b2) if sub[0] > 0 else (b2, b1)
-    if p + n <= m:
-        raise ValueError("subword is not over-critical (p + n <= m)")
-    host_runs = runs(w)
-    if b1 < m:
-        if (s, s + b1) not in host_runs:
-            raise ValueError("initial block is not maximal in the host word")
-    if b2 < m:
-        if (e - b2, e) not in host_runs:
-            raise ValueError("final block is not maximal in the host word")
-    kind = "positive" if p == m else ("negative" if n == m else "unsigned")
-    return OverCriticalMove(s, e, p, n, kind, block_swap(sub, b1, b2, m, pair))
-
-
-def find_length_reducing_move(w: Word, m: int) -> Optional[OverCriticalMove]:
-    """
-    Canonical length-reducing move on a freely reduced 2-generator word with
-    p(w) + n(w) > m: pair the leftmost opposite-sign runs whose capped
-    lengths exceed m, blocks taken at the facing ends of the two runs.
-    """
-    rs = runs(w)
-    for a in range(len(rs)):
-        sa, ea = rs[a]
-        la = min(m, ea - sa)
-        for b in range(a + 1, len(rs)):
-            sb, eb = rs[b]
-            if (w[sa] > 0) == (w[sb] > 0):
-                continue
-            lb = min(m, eb - sb)
-            if la + lb <= m:
-                continue
-            start = ea - la  # last la letters of the left run
-            end = sb + lb  # first lb letters of the right run
-            return locate_overcritical(w, start, end, m)
-    return None
-
-
-def reduce_2gen(w: Word, m: MatrixEntry) -> tuple[Word, list[dict]]:
-    """
-    Reduce a 2-generator word to a geodesic one, logging every step.
-    Free reduction entries have kind 'free'; tau entries carry the move kind.
-    """
-    log: list[dict] = []
-    cur = w
-    if not is_freely_reduced(cur):
-        cur = free_reduce(cur)
-        log.append({"kind": "free", "result_len": len(cur)})
-    while True:
-        p, n = pn_values(cur, m)
-        if p + n <= m:
-            return cur, log
-        move = find_length_reducing_move(cur, m)
-        if move is None:
-            raise RuntimeError(f"non-geodesic word admits no move: {cur}")
-        cur = cur[: move.start] + move.image + cur[move.end :]
-        log.append(
-            {
-                "kind": move.kind,
-                "span": (move.start, move.end),
-                "p": move.p,
-                "n": move.n,
-                "result_len": len(cur),
-            }
-        )
-        if not is_freely_reduced(cur):
-            cur = free_reduce(cur)
-            log.append({"kind": "free", "result_len": len(cur)})
 
 
 # ---------------------------------------------------------------------------

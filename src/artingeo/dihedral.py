@@ -9,15 +9,25 @@ ArtinGroup(CoxeterPresentation.dihedral(m)).
 
 The 2-generator calculus lives here: the geodesic criterion p + n <= m,
 the Garside element Delta and its letter permutation delta, critical words
-and tau, reduction to geodesics, Garside powers d(g), the permissible
-factorisation set P = P1 u P2, divisor enumeration, and the compression of
-merger triples (f1, Delta^r, f2) back into geodesic words.
+and tau, over-critical moves and reduction to geodesics, Garside powers
+d(g), the permissible factorisation set P = P1 u P2, divisor enumeration,
+and the compression of merger triples (f1, Delta^r, f2) back into geodesic
+words.
+
+A freely reduced word w over the pair is geodesic iff p(w) + n(w) <= m,
+and is the unique geodesic spelling of its element iff p(w) + n(w) < m
+(p and n as in artingeo.critical).  The block swap that gives tau, applied
+to an over-critical word (p + n > m, blocks capped at m and maximal in the
+host), is a *length-reducing* move, which shortens the word by
+2(p + n - m) after free cancellation.  reduce repeats the canonical such
+move until the word is geodesic; compress repairs and absorbs Delta powers
+with them.
 
 Permissible factorisations of a signed element g are those (g1, g2) with
 |g1| + |g2| = |g| such that either one factor has a geodesic spelling with
-at most two syllables (P1), or d(g1) + d(g2) = d(g) (P2, the factorisation
-does not lose Garside power).  For unsigned g, and in the free case m = inf,
-every geodesic factorisation is permissible.
+at most two syllables (P1, which the engine answers), or d(g1) + d(g2) =
+d(g) (P2, the factorisation does not lose Garside power).  For unsigned g,
+and in the free case m = inf, every geodesic factorisation is permissible.
 
 Merging is not done here: it is ArtinGroup.merge in artingeo.largetype.
 Pass the resulting (f1, r, f2) of a merger inside G(i,j) to compress.
@@ -28,16 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .critical import (
-    CriticalWord,
-    classify_critical,
-    delta_word,
-    find_length_reducing_move,
-    locate_overcritical,
-    pn_values,
-    reduce_2gen,
-    tau,
-)
+from .critical import CriticalWord, block_swap, classify_critical, delta_word, tau
 from .presentation import INF
 from .shortlex import GroupElement, ShortlexEngine, memo
 from .words import (
@@ -49,12 +50,23 @@ from .words import (
     names,
     runs,
     sign_class,
-    syllable_count,
 )
 
 
 class CompressionShapeError(ValueError):
     """The triple does not have the shape a completed merger guarantees."""
+
+
+@dataclass(frozen=True)
+class OverCriticalMove:
+    """A length-reducing move at a located over-critical subword of a host."""
+
+    start: int
+    end: int
+    p: int
+    n: int
+    kind: str  # 'unsigned' | 'positive' | 'negative'
+    image: Word
 
 
 @dataclass(frozen=True)
@@ -115,7 +127,18 @@ class DihedralContext:
     # -- geodesics -----------------------------------------------------------
 
     def pn(self, w: Word) -> tuple[int, int]:
-        return pn_values(w, self.m)
+        """(p, n) for a freely reduced word over the pair."""
+        if not is_freely_reduced(w):
+            raise ValueError("word must be freely reduced")
+        if not names(w) <= set(self.pair):
+            raise ValueError(f"word has a letter outside the pair {self.pair}")
+        p = n = 0
+        for s, e in runs(w):
+            if w[s] > 0:
+                p = max(p, e - s)
+            else:
+                n = max(n, e - s)
+        return min(self.m, p), min(self.m, n)
 
     def geodesic_status(self, w: Word) -> tuple[bool, bool]:
         """(is geodesic, is the unique geodesic spelling of its element)."""
@@ -134,9 +157,78 @@ class DihedralContext:
             raise ValueError(f"word {w} is not critical for m = {self.m}")
         return tau(c)
 
+    def locate_overcritical(self, w: Word, s: int, e: int) -> OverCriticalMove:
+        """
+        Validate that w[s:e] is an over-critical occurrence in w and build its
+        length-reducing move.  The boundary blocks are the maximal alternating
+        runs at the ends of the subword, capped at m letters; a block of fewer
+        than m letters must be a full maximal run of the host word.
+        """
+        m = self.m
+        sub = w[s:e]
+        if not is_freely_reduced(sub) or names(sub) != set(self.pair):
+            raise ValueError("subword is not a freely reduced word over the pair")
+        sub_runs = runs(sub)
+        if len(sub_runs) < 2 or (sub[0] > 0) == (sub[-1] > 0):
+            raise ValueError("subword does not have opposite-sign boundary blocks")
+        b1 = min(m, sub_runs[0][1] - sub_runs[0][0])
+        b2 = min(m, sub_runs[-1][1] - sub_runs[-1][0])
+        p, n = (b1, b2) if sub[0] > 0 else (b2, b1)
+        if p + n <= m:
+            raise ValueError("subword is not over-critical (p + n <= m)")
+        host_runs = runs(w)
+        if b1 < m and (s, s + b1) not in host_runs:
+            raise ValueError("initial block is not maximal in the host word")
+        if b2 < m and (e - b2, e) not in host_runs:
+            raise ValueError("final block is not maximal in the host word")
+        kind = "positive" if p == m else ("negative" if n == m else "unsigned")
+        return OverCriticalMove(s, e, p, n, kind, block_swap(sub, b1, b2, m, self.pair))
+
+    def find_length_reducing_move(self, w: Word) -> Optional[OverCriticalMove]:
+        """
+        Canonical length-reducing move on a freely reduced word over the pair
+        with p(w) + n(w) > m: pair the leftmost opposite-sign runs whose
+        capped lengths exceed m, blocks taken at the facing ends of the two runs.
+        """
+        m = self.m
+        rs = runs(w)
+        for a, (sa, ea) in enumerate(rs):
+            la = min(m, ea - sa)
+            for sb, eb in rs[a + 1 :]:
+                lb = min(m, eb - sb)
+                if (w[sa] > 0) != (w[sb] > 0) and la + lb > m:
+                    # the last la letters of the left run, the first lb of the right
+                    return self.locate_overcritical(w, ea - la, sb + lb)
+        return None
+
     def reduce(self, w: Word) -> tuple[Word, list[dict]]:
-        """Reduce to a geodesic spelling; the log lists every move applied."""
-        return reduce_2gen(w, self.m)
+        """
+        Reduce to a geodesic spelling, logging every step.  Free reduction
+        entries have kind 'free'; the others carry the move kind.
+        """
+        log: list[dict] = []
+        cur = w
+        if not is_freely_reduced(cur):
+            cur = free_reduce(cur)
+            log.append({"kind": "free", "result_len": len(cur)})
+        while not self.is_geodesic(cur):
+            move = self.find_length_reducing_move(cur)
+            if move is None:
+                raise RuntimeError(f"non-geodesic word admits no move: {cur}")
+            cur = cur[: move.start] + move.image + cur[move.end :]
+            log.append(
+                {
+                    "kind": move.kind,
+                    "span": (move.start, move.end),
+                    "p": move.p,
+                    "n": move.n,
+                    "result_len": len(cur),
+                }
+            )
+            if not is_freely_reduced(cur):
+                cur = free_reduce(cur)
+                log.append({"kind": "free", "result_len": len(cur)})
+        return cur, log
 
     # -- Garside power and permissibility -------------------------------------
 
@@ -150,10 +242,6 @@ class DihedralContext:
         eps = 1 if sign == "positive" else -1
         return self.engine.strip_power(g, self.delta_elem(-eps), left=True)
 
-    @memo(lambda g: g.word)
-    def has_two_syllable_spelling(self, g: GroupElement) -> bool:
-        return any(syllable_count(w) <= 2 for w in self.engine.geodesic_words(g))
-
     @memo(lambda g1, g2: (g1.word, g2.word))
     def permissible(self, g1: GroupElement, g2: GroupElement) -> tuple[bool, str]:
         """Membership of (g1, g2) in P(g1 g2), with the accepting clause."""
@@ -164,7 +252,7 @@ class DihedralContext:
             return True, "infinite-label"
         if g.sign == "unsigned":
             return True, "unsigned"
-        if self.has_two_syllable_spelling(g1) or self.has_two_syllable_spelling(g2):
+        if self.engine.has_two_syllable_spelling(g1) or self.engine.has_two_syllable_spelling(g2):
             return True, "P1"
         if self.garside_power(g1) + self.garside_power(g2) == self.garside_power(g):
             return True, "P2"
@@ -232,7 +320,7 @@ class DihedralContext:
         if self.is_geodesic(u1):
             u2 = u1
         else:
-            mv = find_length_reducing_move(u1, m)
+            mv = self.find_length_reducing_move(u1)
             if mv is None:
                 raise CompressionShapeError("u1 is not geodesic yet admits no move")
             u2 = free_reduce(u1[: mv.start] + mv.image + u1[mv.end :])
@@ -301,7 +389,7 @@ class DihedralContext:
                 lb = eb - sb
                 if min(m, la) + min(m, lb) <= m:
                     continue
-                mv = locate_overcritical(W, sa, eb, m)
+                mv = self.locate_overcritical(W, sa, eb)
                 image = mv.image
                 # the image splits at the same boundary: the left block and
                 # xi1 belong to U, the right block and xi2 to V
@@ -328,7 +416,7 @@ class DihedralContext:
             s, e = opp[-1]
             blk = min(m, e - s)
             wfull = part + self.delta_power_word(eps, part[-1] if part else None)
-            mv = locate_overcritical(wfull, e - blk, len(wfull), m)
+            mv = self.locate_overcritical(wfull, e - blk, len(wfull))
             part = free_reduce(wfull[: e - blk] + mv.image)
             r -= eps
             log.append({"run": (s, e), "r_left": r})

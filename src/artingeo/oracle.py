@@ -37,6 +37,10 @@ from .shortlex import BallBudgetError  # noqa: F401  (raised by Ball; importable
 from .shortlex import CayleyBall, default_order, memo
 from .words import Word, free_reduce, inverse_word, names, parse_word
 
+# longest freely reduced word canon accepts: the closure is exponential in
+# the worst case, and this is a bounded-length decision procedure by design
+MAX_LEN = 64
+
 
 def critical_subwords(w: Word, label: LabelFn):
     """
@@ -61,16 +65,11 @@ def critical_subwords(w: Word, label: LabelFn):
 
 
 class Oracle:
-    """Closure-based word problem for one presentation.
+    """Closure-based word problem for one presentation; words longer than
+    MAX_LEN after free reduction are refused."""
 
-    Words longer than max_len (after free reduction) are refused: the
-    closure is exponential in the worst case and this is a bounded-length
-    decision procedure by design.
-    """
-
-    def __init__(self, pres: CoxeterPresentation, max_len: int = 64):
+    def __init__(self, pres: CoxeterPresentation):
         self.pres = pres
-        self.max_len = max_len
         self._rank = {a: r for r, a in enumerate(default_order(pres.n))}
         self.label: LabelFn = pres.label
         self._canon: dict[Word, Word] = {(): ()}  # not @memo: one miss stores its whole closure
@@ -81,8 +80,8 @@ class Oracle:
     def canon(self, word) -> Word:
         """Shortlex-least word in the closure of `word`."""
         w = free_reduce(parse_word(word) if isinstance(word, str) else tuple(word))
-        if len(w) > self.max_len:
-            raise ValueError(f"word of length {len(w)} exceeds the oracle bound {self.max_len}")
+        if len(w) > MAX_LEN:
+            raise ValueError(f"word of length {len(w)} exceeds the oracle bound {MAX_LEN}")
         if any(a == 0 or abs(a) > self.pres.n for a in w):
             raise ValueError("generator index out of range")
         hit = self._canon.get(w)

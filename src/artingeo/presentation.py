@@ -62,6 +62,8 @@ class CoxeterPresentation:
         for i in range(n):
             rows[i][i] = 1
         for (i, j), m in labels.items():
+            if i == j or not (1 <= i <= n and 1 <= j <= n):
+                raise PresentationError(f"pair ({i}, {j}) is not two distinct generators of 1..{n}")
             rows[i - 1][j - 1] = m
             rows[j - 1][i - 1] = m
         return CoxeterPresentation(n, tuple(tuple(r) for r in rows))
@@ -140,44 +142,45 @@ class CoxeterPresentation:
 #   ...
 #   <row n-1>
 # The matrix rows may also follow 'matrix =' on the same line, row-major.
+# Any other line before 'matrix =' is an error.
 
 
 def parse_presentation(text: str) -> CoxeterPresentation:
-    tokens: list[str] = []
+    entries: list[MatrixEntry] = []
     n: int | None = None
     in_matrix = False
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.lower().startswith("n"):
-            lhs, _, rhs = line.partition("=")
-            if lhs.strip().lower() == "n":
-                n = int(rhs.strip())
-                continue
-        if line.lower().startswith("matrix"):
-            _, _, rhs = line.partition("=")
+        lhs, eq, rhs = line.partition("=")
+        key = lhs.strip().lower() if eq else None
+        if key == "n":
+            n = _parse_int(rhs.strip(), line)
+        elif key == "matrix" or in_matrix:
+            row = rhs if key == "matrix" else line
+            entries.extend(_parse_entry(tok, line) for tok in row.split())
             in_matrix = True
-            tokens.extend(rhs.split())
-            continue
-        if in_matrix:
-            tokens.extend(line.split())
+        else:
+            raise PresentationError(f"unrecognised line before 'matrix =': {line!r}")
     if n is None:
         raise PresentationError("presentation file must declare 'n = <count>'")
-    if len(tokens) != n * n:
+    if len(entries) != n * n:
         raise PresentationError(
-            f"expected {n * n} matrix entries, found {len(tokens)}"
+            f"expected {n * n} matrix entries, found {len(entries)}"
         )
+    return CoxeterPresentation(n, tuple(tuple(entries[r * n : r * n + n]) for r in range(n)))
 
-    def entry(tok: str) -> MatrixEntry:
-        if tok.lower() in ("inf", "infinity", "oo"):
-            return INF
+
+def _parse_entry(tok: str, line: str) -> MatrixEntry:
+    return INF if tok.lower() in ("inf", "infinity", "oo") else _parse_int(tok, line)
+
+
+def _parse_int(tok: str, line: str) -> int:
+    try:
         return int(tok)
-
-    rows = tuple(
-        tuple(entry(tokens[r * n + c]) for c in range(n)) for r in range(n)
-    )
-    return CoxeterPresentation(n, rows)
+    except ValueError:
+        raise PresentationError(f"{tok!r} is not an integer, in line {line!r}") from None
 
 
 def load_presentation(path) -> CoxeterPresentation:

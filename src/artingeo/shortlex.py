@@ -32,7 +32,7 @@ from .critical import (
     tau_closure,
 )
 from .presentation import CoxeterPresentation
-from .words import Word, format_word, inverse_word, parse_word, sign_class
+from .words import Word, format_word, inverse_word, parse_word, sign_class, syllable_count
 
 LetterOrder = tuple[int, ...]
 
@@ -205,6 +205,11 @@ class ShortlexEngine:
     def geodesic_words(self, g: GroupElement) -> frozenset[Word]:
         """All geodesic spellings of g (tau-move closure of the normal form)."""
         return tau_closure(g.word, self.label)
+
+    @memo(lambda g: g.word)
+    def has_two_syllable_spelling(self, g: GroupElement) -> bool:
+        """Whether some geodesic spelling of g has at most two syllables."""
+        return any(syllable_count(w) <= 2 for w in self.geodesic_words(g))
 
     @memo(lambda g, j: (g.word, j))
     def right_divisor_words(self, g: GroupElement, j: int) -> tuple[Word, ...]:

@@ -1,4 +1,4 @@
-"""The tau-calculus: classification, the moves, and the chain searches."""
+"""The tau-calculus: classification, tau, and the chain searches."""
 
 import pytest
 
@@ -8,12 +8,8 @@ from artingeo.critical import (
     critical_spans_at,
     delta_letter,
     delta_word,
-    find_length_reducing_move,
     leftward_lex_reduction,
     leftward_states,
-    locate_overcritical,
-    pn_values,
-    reduce_2gen,
     rightward_length_reduction,
     rightward_moves,
     state_suffix,
@@ -22,7 +18,6 @@ from artingeo.critical import (
 )
 from artingeo.presentation import INF, CoxeterPresentation
 from artingeo.words import (
-    alt_starting,
     format_word,
     free_reduce,
     is_freely_reduced,
@@ -137,14 +132,14 @@ def test_tau_involution_and_element_exhaustive():
         assert count > 50  # the sweep must actually exercise the calculus
 
 
-def test_pn_values_and_errors():
-    assert pn_values(W("aba"), 3) == (3, 0)
-    assert pn_values(W("abbA"), 3) == (2, 1)
-    assert pn_values((), 5) == (0, 0)
+def test_pn_values_and_errors(stash):
+    assert stash.dihedral(3).pn(W("aba")) == (3, 0)
+    assert stash.dihedral(3).pn(W("abbA")) == (2, 1)
+    assert stash.dihedral(5).pn(()) == (0, 0)
     with pytest.raises(ValueError):
-        pn_values(W("aAb")[0:2] + (-1,), 3)  # not freely reduced: a A
+        stash.dihedral(3).pn(W("aAb")[0:2] + (-1,))  # not freely reduced: a A
     with pytest.raises(ValueError):
-        pn_values(W("abc"), 3)
+        stash.dihedral(3).pn(W("abc"))
 
 
 def test_delta_letter_and_word():
@@ -156,60 +151,15 @@ def test_delta_letter_and_word():
         delta_letter(3, (1, 2), 3)
 
 
-def test_length_reducing_moves():
-    mv = find_length_reducing_move(W("abaB"), 3)
-    w = W("abaB")
-    assert free_reduce(w[: mv.start] + mv.image + w[mv.end :]) == W("ba")
-    mv4 = find_length_reducing_move(W("ababA"), 4)
-    w4 = W("ababA")
-    assert free_reduce(w4[: mv4.start] + mv4.image + w4[mv4.end :]) == W("bab")
-    # length drop is 2(p + n - m)
-    assert len(w) - (len(mv.image) + len(w) - (mv.end - mv.start)) == 2 * (
-        mv.p + mv.n - 3
-    )
-
-
-def test_length_reducing_move_at_span():
-    # the over-critical span [start, end) shortens after free reduction
-    for w, start, end, m, out in (("abaB", 0, 4, 3, "ba"), ("ababA", 0, 5, 4, "bab")):
-        w = W(w)
-        mv = locate_overcritical(w, start, end, m)
-        assert free_reduce(w[:start] + mv.image + w[end:]) == W(out)
-    with pytest.raises(ValueError):
-        locate_overcritical(W("abaBAB"), 1, 6, 4)
-
-
-def test_overcritical_maximality_precondition():
-    # the initial block must be a maximal alternating subword of the host
-    w = W("abaBAB")
-    with pytest.raises(ValueError):
-        locate_overcritical(w, 1, 6, 4)  # block 'ba' sits inside the run 'aba'
-    # the full run is accepted
-    mv = locate_overcritical(w, 0, 6, 4)
-    assert mv.p == 3 and mv.n == 3
-
-
-def test_reduce_2gen_logs():
-    out, log = reduce_2gen(W("abaB"), 3)
+def test_reduce_2gen_logs(stash):
+    out, log = stash.dihedral(3).reduce(W("abaB"))
     assert out == W("ba")
     assert [e["kind"] for e in log] == ["positive"]  # p = m move
-    out, log = reduce_2gen(W("ab"), 3)
+    out, log = stash.dihedral(3).reduce(W("ab"))
     assert out == W("ab") and log == []
     # Delta * x1^-1 in DA(4) has length 3
-    out, log = reduce_2gen(W("ababA"), 4)
+    out, log = stash.dihedral(4).reduce(W("ababA"))
     assert len(out) == 3
-
-
-def test_reduce_unsigned_only_when_strictly_between():
-    # words with 0 < p, n < m reduce by unsigned moves alone, no free reduction
-    for w in freely_reduced_words(2, 7):
-        p, n = pn_values(w, 3)
-        if not (0 < p < 3 and 0 < n < 3):
-            continue
-        out, log = reduce_2gen(w, 3)
-        assert all(e["kind"] == "unsigned" for e in log)
-        pp, nn = pn_values(out, 3)
-        assert pp + nn <= 3
 
 
 def test_chain_search_worked_example():
@@ -394,10 +344,3 @@ def test_engine_rejects_out_of_range_letters():
         eng.nf((3,))
     with pytest.raises(ValueError):
         eng.nf(W("abc"))
-
-
-def test_alternating_pn_consistency():
-    for m in (3, 4, 5):
-        for r in range(0, 9):
-            w = alt_starting(1, 2, r)
-            assert pn_values(w, m) == (min(m, r), 0)

@@ -8,6 +8,7 @@ import pytest
 from artingeo.presentation import INF
 from artingeo.shortlex import default_order
 from artingeo.words import (
+    alt_starting,
     format_word,
     free_reduce,
     is_freely_reduced,
@@ -37,9 +38,14 @@ def free(stash):
     return stash.dihedral(INF)
 
 
-def test_pn_and_geodesic_status(da3, free):
+def test_pn_and_geodesic_status(da3, free, stash):
     assert da3.pn(W("aba")) == (3, 0)
     assert da3.pn(W("abbA")) == (2, 1)
+    # a triangle345 context answers for its own pair only: m13 = 4 makes acaC geodesic
+    tri = stash.group("triangle345")
+    assert tri.engine.is_geodesic(W("acaC"))
+    with pytest.raises(ValueError):
+        tri.dihedral_ctx(1, 2).pn(W("acaC"))
     assert da3.geodesic_status(W("aba")) == (True, False)
     assert da3.geodesic_status(W("ab")) == (True, True)
     assert da3.geodesic_status(W("abaB")) == (False, False)
@@ -82,6 +88,45 @@ def test_tau_examples_and_errors(da3, da4):
     assert format_word(da4.tau(W("abab"))) == "baba"
     with pytest.raises(ValueError):
         da3.tau(W("ab"))
+
+
+def test_alternating_pn_consistency(stash):
+    for m in (3, 4, 5):
+        ctx = stash.dihedral(m)
+        for r in range(0, 9):
+            assert ctx.pn(alt_starting(1, 2, r)) == (min(m, r), 0)
+
+
+def test_length_reducing_moves(da3, da4):
+    w = W("abaB")
+    mv = da3.find_length_reducing_move(w)
+    assert free_reduce(w[: mv.start] + mv.image + w[mv.end :]) == W("ba")
+    w4 = W("ababA")
+    mv4 = da4.find_length_reducing_move(w4)
+    assert free_reduce(w4[: mv4.start] + mv4.image + w4[mv4.end :]) == W("bab")
+    # length drop is 2(p + n - m)
+    assert len(w) - (len(mv.image) + len(w) - (mv.end - mv.start)) == 2 * (
+        mv.p + mv.n - 3
+    )
+    assert da3.find_length_reducing_move(W("ab")) is None
+
+
+def test_length_reducing_move_at_span(da3, da4):
+    # the over-critical span [start, end) shortens after free reduction
+    for ctx, w, start, end, out in ((da3, "abaB", 0, 4, "ba"), (da4, "ababA", 0, 5, "bab")):
+        w = W(w)
+        mv = ctx.locate_overcritical(w, start, end)
+        assert free_reduce(w[:start] + mv.image + w[end:]) == W(out)
+
+
+def test_overcritical_maximality_precondition(da4):
+    # the initial block must be a maximal alternating subword of the host
+    w = W("abaBAB")
+    with pytest.raises(ValueError):
+        da4.locate_overcritical(w, 1, 6)  # block 'ba' sits inside the run 'aba'
+    # the full run is accepted
+    mv = da4.locate_overcritical(w, 0, 6)
+    assert mv.p == 3 and mv.n == 3
 
 
 def test_reduce_examples(da3, da4):

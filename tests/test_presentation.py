@@ -1,3 +1,6 @@
+import re
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,9 @@ def test_malformed_matrices():
         CoxeterPresentation(2, ((2, 3), (3, 1)))  # bad diagonal
     with pytest.raises(PresentationError):
         CoxeterPresentation(2, ((1, 1), (1, 1)))  # off-diagonal below 2
+    for pair in ((0, 1), (1, 4), (2, 2), (-1, 2)):  # not two distinct generators of 1..3
+        with pytest.raises(PresentationError, match=re.escape(str(pair))):
+            CoxeterPresentation.from_labels(3, {pair: 4})
     # label 2 is representable even though the group is not large type
     p = CoxeterPresentation.dihedral(2)
     assert not p.is_large()
@@ -89,9 +95,24 @@ def test_file_errors():
         parse_presentation("matrix =\n1 3\n3 1\n")  # n missing
     with pytest.raises(PresentationError):
         parse_presentation("n = 2\nmatrix =\n1 3\n")  # too few entries
+    # unknown lines before the matrix, and non-integer n or entries, name their line
+    for text, line in (
+        ("n = 2\nfoo bar\nmatrix =\n1 3\n3 1\n", "foo bar"),
+        ("nonsense = 7\nn = 2\nmatrix =\n1 3\n3 1\n", "nonsense = 7"),
+        ("n = two\nmatrix =\n1 3\n3 1\n", "n = two"),
+        ("n = 2\nmatrix =\n1 3\n3 x\n", "3 x"),
+        ("n = 2\nmatrix = 1 3.5 3.5 1\n", "matrix = 1 3.5 3.5 1"),
+    ):
+        with pytest.raises(PresentationError, match=re.escape(repr(line))):
+            parse_presentation(text)
 
 
 def test_presets_load_and_classify():
+    # every shipped file is registered, so each loads by name below
+    files = resources.files("artingeo").joinpath("presets").iterdir()
+    assert {f.name.removesuffix(".txt") for f in files if f.name.endswith(".txt")} == set(
+        PRESET_NAMES
+    )
     for name in PRESET_NAMES:
         pres = load_preset(name)
         assert pres.is_large()
