@@ -63,6 +63,7 @@ unique-tail property is reproduced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -234,7 +235,7 @@ class ArtinGroup:
         ld = self.ld(g, i, j)
         L = len(ld)
         reps = self.engine.geodesic_words(g)
-        if all(self.engine.nf(w[:L]) == ld.word for w in reps):
+        if all(functools.reduce(self.engine.extend, w[:L], ()) == ld.word for w in reps):
             return ld, 1, None
         letters: set[int] = set()
         witnesses: dict[int, Word] = {}

@@ -61,9 +61,12 @@ class CoxeterPresentation:
         rows = [[INF] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = 1
+        given: dict[tuple[int, int], MatrixEntry] = {}
         for (i, j), m in labels.items():
             if i == j or not (1 <= i <= n and 1 <= j <= n):
                 raise PresentationError(f"pair ({i}, {j}) is not two distinct generators of 1..{n}")
+            if given.setdefault((min(i, j), max(i, j)), m) != m:
+                raise PresentationError(f"pair ({i}, {j}) is labelled both {rows[i - 1][j - 1]} and {m}")
             rows[i - 1][j - 1] = m
             rows[j - 1][i - 1] = m
         return CoxeterPresentation(n, tuple(tuple(r) for r in rows))
@@ -142,7 +145,7 @@ class CoxeterPresentation:
 #   ...
 #   <row n-1>
 # The matrix rows may also follow 'matrix =' on the same line, row-major.
-# Any other line before 'matrix =' is an error.
+# Any other line before 'matrix =' is an error, and so is a second 'n =' line.
 
 
 def parse_presentation(text: str) -> CoxeterPresentation:
@@ -156,6 +159,8 @@ def parse_presentation(text: str) -> CoxeterPresentation:
         lhs, eq, rhs = line.partition("=")
         key = lhs.strip().lower() if eq else None
         if key == "n":
+            if n is not None:
+                raise PresentationError(f"second 'n =' line: {line!r}")
             n = _parse_int(rhs.strip(), line)
         elif key == "matrix" or in_matrix:
             row = rhs if key == "matrix" else line

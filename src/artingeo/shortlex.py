@@ -10,7 +10,11 @@ word was geodesic but not lex-least).  By the lemma of Holt and Rees
 of :mod:`artingeo.critical` start at the end of the word; they require what
 `append` guarantees, a shortlex-minimal word minus its last letter.  A
 length repair is renormalised from its first changed letter; a lex repair
-is the normal form.  Tests certify the searches against the oracle.
+is the normal form.  When the caller knows the product is one letter
+longer (an outward ball cell, a prefix or suffix of a geodesic spelling),
+`extend` skips the length search, which can only fail there, and runs the
+lex repair alone on the same cache rows.  Tests certify the searches
+against the oracle and `extend` against `append`.
 
 Group elements are identified with their normal-form words, so element
 equality is word equality and all higher layers (divisors, factorisation
@@ -147,6 +151,15 @@ class ShortlexEngine:
         row[a] = res
         return res
 
+    def extend(self, z: Word, a: int) -> Word:
+        """Normal form of z*a for z in normal form and |z a| = |z| + 1: only a lex repair can apply."""
+        row = self._append.setdefault(z, {}) if len(z) <= ROW_CAP else {}  # append's rows and cap
+        hit = row.get(a)
+        if hit is None:
+            w = z + (a,)
+            hit = row[a] = leftward_lex_reduction(w, self.label, self.lex_key) or w
+        return hit
+
     def _repair(self, w: Word) -> Word:
         red = rightward_length_reduction(w, self.label)
         if red is not None:
@@ -216,7 +229,7 @@ class ShortlexEngine:
         """Shortlex-sorted normal forms of the length-j right divisors of g; () unless 0 <= j <= |g|."""
         if not 0 <= j <= len(g.word):
             return ()
-        seen = {self.nf(w[len(w) - j :]) for w in self.geodesic_words(g)}
+        seen = {functools.reduce(self.extend, w[len(w) - j :], ()) for w in self.geodesic_words(g)}
         return tuple(sorted(seen, key=self.lex_key))
 
     @memo(lambda g: g.word)
@@ -229,7 +242,7 @@ class ShortlexEngine:
         for w in self.geodesic_words(g):
             z: Word = ()
             for a in w:
-                z = self.append(z, a)
+                z = self.extend(z, a)
                 heads.add(z)
         return frozenset(heads)
 
@@ -280,10 +293,11 @@ class CayleyBall:
 
     append must return a geodesic word, and every relation must have sides
     of equal length (true of Artin groups); then length mod 2 is a
-    homomorphism and |u a| = |u| +- 1.  So append is called only on the
-    outward cells (|u| < radius, |u a| = |u| + 1): each one also fills the
-    inward cell (u a, a^-1) = u, and a cell of the last sphere that no
-    inward product filled is -1.
+    homomorphism and |u a| = |u| +- 1.  append is called only on the
+    outward cells (|u| < radius, |u a| = |u| + 1), so it may assume that
+    z*a is one letter longer than z (`ShortlexEngine.extend` does): each
+    call also fills the inward cell (u a, a^-1) = u, and a cell of the last
+    sphere that no inward product filled is -1.
     """
 
     def __init__(
@@ -401,11 +415,11 @@ class CayleyBall:
 
 
 class ElementBall(CayleyBall):
-    """The ball enumerated by the shortlex engine's append."""
+    """The ball enumerated by the shortlex engine's extend."""
 
     def __init__(self, engine: ShortlexEngine, radius: int):
         self.engine = engine
-        super().__init__(engine.append, engine.pres.n, radius)
+        super().__init__(engine.extend, engine.pres.n, radius)
 
     def element(self, idx: int) -> GroupElement:
         return GroupElement(self.engine, self.words[idx])

@@ -13,7 +13,7 @@ from artingeo.largetype import (
     _pair_prefix,
 )
 from artingeo.presentation import INF, CoxeterPresentation
-from artingeo.shortlex import default_order
+from artingeo.shortlex import ShortlexEngine, default_order
 from artingeo.words import inverse_word, names, parse_word, syllable_count
 
 from conftest import freely_reduced_words, merge_row, rename
@@ -142,6 +142,31 @@ def test_left_divisor_words_are_the_geodesic_left_divisors(stash, name):
         for j in range(len(f) + 1):
             tails = engine.right_divisor_words(f.inv(), j)
             assert {w for w in heads if len(w) == j} == {engine.nf(inverse_word(w)) for w in tails}
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("da3", 8), ("da4", 6), ("triangle345", 4), ("triangle444", 5), ("counterexample433", 4)],
+)
+def test_extend_and_divisor_words_match_the_full_repair(stash, name, radius):
+    # extend runs only the lex repair, so check it against the full repair of
+    # engines it never wrote to: on every outward cell, and through the
+    # divisor words that the ball's engine now builds with it
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    engine, ball = group.engine, group.ball(radius)
+    cold, fresh = ShortlexEngine(group.pres), ShortlexEngine(group.pres)
+    for u, w in enumerate(ball.words):
+        for a in ball.letters:
+            if len(w) < radius and ball.length[ball.step(u, a)] == len(w) + 1:
+                want = fresh.append(w, a)
+                assert cold.extend(w, a) == ball.words[ball.step(u, a)] == want, (name, w, a)
+        g = ball.element(u)
+        spellings = engine.geodesic_words(g)
+        heads = {fresh.nf(s[:k]) for s in spellings for k in range(len(w) + 1)}
+        assert engine.left_divisor_words(g) == heads, (name, w)
+        for j in range(len(w) + 1):
+            tails = {fresh.nf(s[len(s) - j :]) for s in spellings}
+            assert set(engine.right_divisor_words(g, j)) == tails, (name, w, j)
 
 
 @pytest.mark.parametrize(

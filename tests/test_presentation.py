@@ -71,6 +71,12 @@ def test_malformed_matrices():
     for pair in ((0, 1), (1, 4), (2, 2), (-1, 2)):  # not two distinct generators of 1..3
         with pytest.raises(PresentationError, match=re.escape(str(pair))):
             CoxeterPresentation.from_labels(3, {pair: 4})
+    # one pair given twice with two labels, either way round or inf first
+    for labels in ({(1, 2): 3, (2, 1): 4}, {(1, 2): INF, (2, 1): 3}):
+        with pytest.raises(PresentationError, match=re.escape("(2, 1)")):
+            CoxeterPresentation.from_labels(2, labels)
+    # the same label twice is the same matrix
+    assert CoxeterPresentation.from_labels(2, {(1, 2): 4, (2, 1): 4}) == CoxeterPresentation.dihedral(4)
     # label 2 is representable even though the group is not large type
     p = CoxeterPresentation.dihedral(2)
     assert not p.is_large()
@@ -95,13 +101,16 @@ def test_file_errors():
         parse_presentation("matrix =\n1 3\n3 1\n")  # n missing
     with pytest.raises(PresentationError):
         parse_presentation("n = 2\nmatrix =\n1 3\n")  # too few entries
-    # unknown lines before the matrix, and non-integer n or entries, name their line
+    # unknown lines before the matrix, a second n line, and non-integer n or
+    # entries name their line
     for text, line in (
         ("n = 2\nfoo bar\nmatrix =\n1 3\n3 1\n", "foo bar"),
         ("nonsense = 7\nn = 2\nmatrix =\n1 3\n3 1\n", "nonsense = 7"),
         ("n = two\nmatrix =\n1 3\n3 1\n", "n = two"),
         ("n = 2\nmatrix =\n1 3\n3 x\n", "3 x"),
         ("n = 2\nmatrix = 1 3.5 3.5 1\n", "matrix = 1 3.5 3.5 1"),
+        ("n = 3\nmatrix =\n1 3\n3 1\nn = 2\n", "n = 2"),  # a second n, after the matrix
+        ("n = 2\nn = 2\nmatrix =\n1 3\n3 1\n", "n = 2"),
     ):
         with pytest.raises(PresentationError, match=re.escape(repr(line))):
             parse_presentation(text)
