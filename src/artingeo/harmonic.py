@@ -28,7 +28,6 @@ iteration; bincount adds in input order, as np.add.at does, so floats match.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -278,9 +277,9 @@ def operator_norm_profile(phi: GroupFunction, radii: Iterable[int], iterations: 
     the radius-R ball and take the best Rayleigh quotient
     ||phi * psi||_2 / ||psi||_2 seen during power iteration on the
     restricted operator.  Radii run in increasing order and each is
-    warm-started with the previous maximising vector, zero-padded: ball ids
-    are breadth-first, so the radius-R ball is an id prefix of every larger
-    one and the reported lower bounds are nondecreasing in R.  T x scatters
+    warm-started with the previous maximising vector, zero-padded: the
+    radius-R ball is the id prefix ending with the sphere range big.sphere(R)
+    and the reported lower bounds are nondecreasing in R.  T x scatters
     by bincount over the ids of h * v; T* y sums the gathered rows h in order.
     """
     radii = sorted(radii)
@@ -290,7 +289,7 @@ def operator_norm_profile(phi: GroupFunction, radii: Iterable[int], iterations: 
     rows, coeff = phi._on(big)
     out, x, best = [], None, 0.0
     for R in radii:
-        inner = range(bisect_right(big.length, R))
+        inner = range(big.sphere(R).stop)
         # scatter map: position of h * v in the big ball, one row per h, one column per inner v
         scatter = np.array(big.products(rows, inner), dtype=np.int64).reshape(len(rows), len(inner))
         x = np.ones(len(inner), dtype=complex) if x is None else np.pad(x, (0, len(inner) - len(x)))

@@ -88,10 +88,9 @@ class HypothesisError(ValueError):
 class OnetailFailure(ValueError):
     """More than one tail letter arose where a unique one was required."""
 
-    def __init__(self, message, letters, witnesses):
+    def __init__(self, message, letters):
         super().__init__(message)
         self.letters = letters
-        self.witnesses = witnesses
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,6 @@ class SWitness:
     f1pp: Optional[GroupElement] = None
     fhat: Optional[GroupElement] = None
     f2pp: Optional[GroupElement] = None
-    inner: Optional[tuple] = None  # (f1', r, f2') in G(i,j)
     s2_witness: Optional[dict] = None  # {'c': letter, 'q': int, 'e1': .., 'e2': ..}
 
 
@@ -238,26 +236,16 @@ class ArtinGroup:
         if all(functools.reduce(self.engine.extend, w[:L], ()) == ld.word for w in reps):
             return ld, 1, None
         letters: set[int] = set()
-        witnesses: dict[int, Word] = {}
         for w in reps:
             rest = self.element(_pair_prefix(w, i, j)).inv() * ld
             if len(rest) == 0:
                 continue
             a = rest.word[0]
             if any(x != a for x in rest.word):
-                raise OnetailFailure(
-                    "prefix does not extend to LD by a letter power",
-                    set(),
-                    {0: w},
-                )
+                raise OnetailFailure("prefix does not extend to LD by a letter power", set())
             letters.add(a)
-            witnesses.setdefault(a, w)
         if len(letters) != 1:
-            raise OnetailFailure(
-                f"expected one tail letter, found {sorted(letters)}",
-                letters,
-                witnesses,
-            )
+            raise OnetailFailure(f"expected one tail letter, found {sorted(letters)}", letters)
         (a,) = letters
         s = self.engine.strip_power(ld, self.element((-a,)))
         return ld * self.element((-a,) * s), 2, a
@@ -455,12 +443,11 @@ class ArtinGroup:
         self._inner_merger_checks(ctx, (f1p, h1p, f2p, h2p), t.r, events, tag)
         if syllable_count(fhat.word) <= 1:
             events.append(f"{tag}: fhat lies in a cyclic subgroup")
-        inner = (f1p, t.r, f2p)
         geodesic = len(f1pp) + len(fhat) + len(f2pp) == len(g)
         if geodesic:
-            return SWitness(t, "S1", ctx.pair, f1pp, fhat, f2pp, inner)
+            return SWitness(t, "S1", ctx.pair, f1pp, fhat, f2pp)
         s2w = self._s2_witness(ctx, f1pp, fhat, f2pp, events, tag)
-        return SWitness(t, "S2", ctx.pair, f1pp, fhat, f2pp, inner, s2w)
+        return SWitness(t, "S2", ctx.pair, f1pp, fhat, f2pp, s2w)
 
     def _s2_witness(self, ctx, f1pp, fhat, f2pp, events, tag):
         """Extract and validate the crossing-letter witness for an S2 triple."""

@@ -6,22 +6,15 @@ from importlib import resources
 
 from .presentation import CoxeterPresentation, load_presentation, parse_presentation
 
-PRESET_NAMES = (
-    "da3",
-    "da4",
-    "da5",
-    "dainf",
-    "triangle345",
-    "triangle444",
-    "counterexample433",
-)
+# a preset is the file presets/<name>.txt and loads by its stem
+_DIR = resources.files("artingeo").joinpath("presets")
+PRESET_NAMES = tuple(sorted(f.name.removesuffix(".txt") for f in _DIR.iterdir() if f.name.endswith(".txt")))
 
 
 def load_preset(name: str) -> CoxeterPresentation:
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    text = resources.files("artingeo").joinpath(f"presets/{name}.txt").read_text()
-    return parse_presentation(text)
+    return parse_presentation(_DIR.joinpath(f"{name}.txt").read_text())
 
 
 def resolve_presentation(spec: str) -> tuple[str, CoxeterPresentation]:

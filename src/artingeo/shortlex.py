@@ -315,9 +315,11 @@ class CayleyBall:
         index: dict[Word, int] = {(): 0}
         # a row is made with its word; -1 marks a cell not yet decided
         adj: list[list[int]] = [[-1] * len(letters)]
+        bounds = [0]  # the sphere S_k is the id range bounds[k]..bounds[k+1]-1
         start, depth = 0, 0
         while start < len(words):  # ids start..end-1 are the sphere S_depth
             end = len(words)
+            bounds.append(end)
             for v in range(start, end) if depth < radius else ():
                 w, row = words[v], adj[v]
                 for c, a in enumerate(letters):
@@ -335,16 +337,16 @@ class CayleyBall:
                 # keep the complete ball of radius `depth`: every row built
                 # so far, with the cells reaching the next sphere cut to -1
                 adj = [[i if i < end else -1 for i in row] for row in adj[:end]]
-                self._adopt(n, depth, words[:end], adj)
+                self._adopt(n, depth, words[:end], adj, bounds)
                 raise BallBudgetError(self, depth)
             start = end
             depth += 1
         # rows were made in BFS order, which matches the words order
-        self._adopt(n, radius, words, adj, index)
+        self._adopt(n, radius, words, adj, bounds, index)
 
-    def _adopt(self, n: int, radius: int, words: list[Word], adj: list[list[int]], index=None):
+    def _adopt(self, n: int, radius: int, words: list[Word], adj: list[list[int]], bounds, index=None):
         """Install a table: the words in id order, one adjacency row per word
-        (columns in default letter order) and, unless given, the word index."""
+        (columns in default letter order), sphere bounds and the word index."""
         self.radius = radius
         self.letters = default_order(n)
         self._letter_col = {a: c for c, a in enumerate(self.letters)}
@@ -352,18 +354,18 @@ class CayleyBall:
         self.index = index if index is not None else {w: i for i, w in enumerate(words)}
         self.adj = adj
         self.length = [len(w) for w in words]
-        self._spheres: dict[int, list[int]] = {}
-        for idx, L in enumerate(self.length):
-            self._spheres.setdefault(L, []).append(idx)
+        self._bounds = bounds
 
     def __len__(self) -> int:
         return len(self.words)
 
-    def sphere(self, k: int) -> list[int]:
-        return self._spheres.get(k, [])
+    def sphere(self, k: int) -> range:
+        """Ids of C_k, one breadth-first range; empty outside 0..radius."""
+        b = self._bounds
+        return range(b[k], b[k + 1]) if 0 <= k < len(b) - 1 else range(0)
 
     def sphere_sizes(self) -> dict[int, int]:
-        return {k: len(v) for k, v in sorted(self._spheres.items())}
+        return {k: len(self.sphere(k)) for k in range(len(self._bounds) - 1)}
 
     def step(self, idx: int, a: int) -> int:
         return self.adj[idx][self._letter_col[a]]
@@ -402,8 +404,8 @@ class CayleyBall:
     def fact_table(self, k: int, l: int) -> dict[int, list[tuple[int, int]]]:
         """
         Fact_{k,l} buckets: g -> [(u, v)] with u in C_k, v in C_l and uv = g,
-        each g's pairs in row-major order.  Ids are breadth-first, so every
-        ball of radius >= k + l gives the same table.
+        each g's pairs in row-major order.  Every ball of radius >= k + l
+        has the same sphere id ranges (`sphere`), so each gives this table.
         """
         if k + l > self.radius:
             raise ValueError("fact_table requires k + l <= radius")

@@ -412,7 +412,7 @@ def reference_operator_norms(phi, radii, iterations):
 def test_operator_norm_kernel_matches_add_at_reference(stash, da3, ball6):
     # a complex phi on two spheres, warm-started over three radii, and dainf
     rng = np.random.default_rng(8)
-    phi = random_function(da3, ball6, ball6.sphere(1) + ball6.sphere(2), rng)
+    phi = random_function(da3, ball6, [*ball6.sphere(1), *ball6.sphere(2)], rng)
     assert operator_norm_profile(phi, [2, 3, 4], 25) == reference_operator_norms(phi, [2, 3, 4], 25)
     free = stash.group("dainf")
     chi = GroupFunction.sphere_indicator(free, free.ball(1), 1)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from artingeo.oracle import Ball, Oracle, relator_closure, relator_equal
+from artingeo.oracle import Ball, BallBudgetError, Oracle, relator_closure, relator_equal
 from artingeo.presentation import CoxeterPresentation
 from artingeo.presets import PRESET_NAMES, load_preset
 from artingeo.shortlex import ShortlexEngine
@@ -185,6 +185,56 @@ def test_ball_budget():
     assert partial.words == fresh.words
     assert partial.adj == fresh.adj
     assert partial.index == fresh.index
+
+
+def assert_id_prefix(small, big):
+    """small is the radius-r prefix of big: same ids, words and lengths, and
+    each cell is big's cell, or -1 where that cell leaves the small ball."""
+    n = len(small)
+    assert small.words == big.words[:n]
+    assert small.length == big.length[:n]
+    for u in range(n):
+        assert small.adj[u] == [v if v < n else -1 for v in big.adj[u]], (small.radius, u)
+
+
+def assert_sphere_ranges(ball):
+    # breadth-first ids put each sphere in one range; the ranges tile the ball
+    stop = 0
+    for k in range(ball.radius + 1):
+        sphere = ball.sphere(k)
+        assert isinstance(sphere, range) and sphere.start == stop and len(sphere) > 0
+        assert {ball.length[i] for i in sphere} == {k}
+        stop = sphere.stop
+    assert stop == len(ball)
+    assert ball.sphere_sizes() == {k: len(ball.sphere(k)) for k in range(ball.radius + 1)}
+    assert not ball.sphere(-1) and not ball.sphere(ball.radius + 1)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_spheres_are_id_ranges_and_smaller_balls_are_prefixes(name, stash):
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    oracle = stash.oracle(name)
+    for balls in (
+        [group.ball(r) for r in range(5)],
+        [Ball(oracle, r) for r in range(3)] + [stash.oracle_ball(name, 3)],
+    ):
+        for ball in balls:
+            assert_sphere_ranges(ball)
+        for small in balls[:-1]:
+            assert_id_prefix(small, balls[-1])
+
+
+def test_budget_cut_ball_keeps_the_full_spheres():
+    # the ball of test_ball_budget: cut at its complete radius, it has the
+    # full ball's spheres up to that radius and is that ball's id prefix
+    orc = Oracle(CoxeterPresentation.dihedral(3))
+    with pytest.raises(BallBudgetError) as exc:
+        Ball(orc, 6, max_elements=10)
+    partial, R = exc.value.partial, exc.value.complete_radius
+    full = Ball(orc, 6)
+    assert_sphere_ranges(partial)
+    assert [partial.sphere(k) for k in range(R + 2)] == [full.sphere(k) for k in range(R + 1)] + [range(0)]
+    assert_id_prefix(partial, full)
 
 
 def test_engine_and_oracle_balls_agree_cell_by_cell(stash):
