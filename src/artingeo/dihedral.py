@@ -269,10 +269,10 @@ class DihedralContext:
 
     def _signed_garside_power(self, g: GroupElement) -> int:
         """d(g) with the sign of g; 0 for unsigned elements and the identity."""
-        if self.m is INF or len(g) == 0 or g.sign == "unsigned":
+        sign = g.sign
+        if self.m is INF or len(g) == 0 or sign == "unsigned":
             return 0
-        eps = 1 if g.sign == "positive" else -1
-        return eps * self.garside_power(g)
+        return (1 if sign == "positive" else -1) * self.garside_power(g)
 
     def compress(self, f1: GroupElement, r: int, f2: GroupElement) -> CompressionResult:
         """

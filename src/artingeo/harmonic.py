@@ -22,8 +22,9 @@ lower bound, and estimates are nondecreasing in the radius by warm-starting
 each radius from the previous maximiser.
 
 Both hot kernels (ratio trials, power iteration) scatter-add by np.bincount
-over flat maps of product ids, a fixed number of numpy calls per trial or
-iteration; bincount adds in input order, as np.add.at does, so floats match.
+over flat maps of product ids, a fixed number of numpy calls per batch of
+trials or per iteration; bincount adds in input order, as np.add.at does,
+so floats match.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import numpy as np
 from .largetype import ArtinGroup
 from .shortlex import CayleyBall, ElementBall, GroupElement
 from .words import Word
+
+_BATCH_TERMS = 1 << 13  # outer-product terms per batch of ratio trials: bounds a batch's memory
 
 
 class GroupFunction:
@@ -212,9 +215,11 @@ def star_star_trials(
     """
     Ratios ||(phi_k * psi_l)_m||_2 / (||phi_k||_2 ||psi_l||_2) for each m in
     ms, over seeded random coefficient vectors and structured adversarial
-    ones, the same for every m.  Trials are streamed: each outer product is
-    scattered once onto all products uv and each m reads the cells of length
-    m.  Records {"m", "trial", "ratio"} come m by m, in the order of ms.
+    ones, the same for every m.  Trials run in batches of as many as fit in
+    _BATCH_TERMS outer-product terms (at least one): each batch draws its
+    normals at once, scatters every trial's outer product onto the products
+    uv by one bincount over (trial, cell) bins, and each m reads the cells
+    of length m.  Records {"m", "trial", "ratio"} come m by m, in ms order.
     """
     if any(not 0 <= m <= ball.radius for m in ms) or k + l > ball.radius:
         raise ValueError("ball too small for the requested triple (k, l, m)")
@@ -222,42 +227,56 @@ def star_star_trials(
         raise ValueError(f"trials must be >= 0, got {trials}")
     ck = ball.sphere(k)
     cl = ball.sphere(l)
-    if not ck or not cl:
+    if not ck or not cl or not ms:
         return []
     # position of each product uv, row-major, among the distinct elements it hits
     cells, slot = np.unique(np.array(ball.products(ck, cl), dtype=np.int64), return_inverse=True)
     cell_len = np.asarray(ball.length)[cells]
     picks = [np.flatnonzero(cell_len == m) for m in ms]
+    nk, nl, nc = len(ck), len(cl), len(cells)
+    batch = max(1, _BATCH_TERMS // (nk * nl))
+    # trial t of a batch, row t of fu and fv in record, scatters onto bins t * nc + slot
+    bins = (np.arange(batch)[:, None] * nc + slot).ravel()
     rng = np.random.default_rng(seed)
-    table = []
+    ratios = []
 
-    def record(name, fu, fv):
-        acc = _scatter_add(slot, np.outer(fu, fv).ravel(), len(cells))
+    def record(fu, fv):
+        b = len(fu)
+        acc = _scatter_add(bins[: b * nk * nl], (fu[:, :, None] * fv[:, None, :]).ravel(), b * nc)
+        sq = np.abs(acc.reshape(b, nc)) ** 2
+        # take keeps each trial's picked cells contiguous, so each row adds as the 1-d sum does
+        nums = np.sqrt([np.add.reduce(sq.take(p, axis=1), axis=1) for p in picks])
         den = _norm(fu) * _norm(fv)
-        nums = [np.sqrt(np.sum(np.abs(acc[p]) ** 2)) for p in picks]
-        table.append((name, [float(num / den) if den else 0.0 for num in nums]))
+        ratios.extend(np.divide(nums, den, out=np.zeros_like(nums), where=den != 0).T.tolist())
 
-    record("all-ones", np.ones(len(ck)), np.ones(len(cl)))
-    record("single-atom", np.eye(1, len(ck), 0).ravel(), np.eye(1, len(cl), 0).ravel())
+    probes = {
+        "all-ones": (np.ones((1, nk)), np.ones((1, nl))),
+        "single-atom": (np.eye(1, nk), np.eye(1, nl)),
+    }
     multi_k, multi_l = (
-        np.array([float(len(group.engine.geodesic_words(ball.element(i))) > 1) for i in ids])
+        np.array([[float(len(group.engine.geodesic_words(ball.element(i))) > 1) for i in ids]])
         for ids in (ck, cl)
     )
     if multi_k.any() and multi_l.any():
-        record("multi-spelling", multi_k, multi_l)
-    for t in range(trials):
-        fu = rng.standard_normal(len(ck)) + 1j * rng.standard_normal(len(ck))
-        fv = rng.standard_normal(len(cl)) + 1j * rng.standard_normal(len(cl))
-        record(f"random-{t}", fu, fv)
+        probes["multi-spelling"] = multi_k, multi_l
+    for fu, fv in probes.values():
+        record(fu, fv)
+    for start in range(0, trials, batch):
+        z = rng.standard_normal((min(batch, trials - start), 2 * (nk + nl)))
+        u, v = z[:, : 2 * nk], z[:, 2 * nk :]
+        record(u[:, :nk] + 1j * u[:, nk:], v[:, :nl] + 1j * v[:, nl:])
+    table = list(zip([*probes, *(f"random-{t}" for t in range(trials))], ratios))
     return [{"m": m, "trial": name, "ratio": rs[i]} for i, m in enumerate(ms) for name, rs in table]
 
 
 def _norm(x: np.ndarray):
-    """np.linalg.norm(x) of a float or complex array by numpy's own formula, minus its wrapper."""
-    x = x.ravel(order="K")  # as numpy does: a strided view is summed from a contiguous copy
+    """np.linalg.norm of x, or of each row of a 2-d x, by numpy's own formula, minus its wrapper."""
+    x = np.ascontiguousarray(x)  # as numpy does: a strided view is summed from a contiguous copy
+    # vecdot sums each row as ndarray.dot sums a vector; on a vector ndarray.dot has less call overhead
+    dot = np.ndarray.dot if x.ndim == 1 else np.vecdot
     if x.dtype.kind == "c":
-        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return np.sqrt(x.dot(x))
+        return np.sqrt(dot(x.real, x.real) + dot(x.imag, x.imag))
+    return np.sqrt(dot(x, x))
 
 
 def _scatter_add(slots: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:

@@ -37,13 +37,9 @@ def exponent_sum(w: Word) -> int:
 
 def sign_class(w: Word) -> str:
     """'positive', 'negative' or 'unsigned'; the empty word is 'positive'."""
-    has_pos = any(a > 0 for a in w)
-    has_neg = any(a < 0 for a in w)
-    if has_pos and has_neg:
-        return "unsigned"
-    if has_neg:
-        return "negative"
-    return "positive"
+    if not w or min(w) > 0:
+        return "positive"
+    return "negative" if max(w) < 0 else "unsigned"
 
 
 def is_freely_reduced(w: Word) -> bool:

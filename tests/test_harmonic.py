@@ -1,11 +1,13 @@
 """Norms, convolution, projections, the convolution inequality, operator norms."""
 
 import itertools
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
+from artingeo import harmonic
 from artingeo.harmonic import (
     GroupFunction,
     _norm,
@@ -381,6 +383,51 @@ def test_trial_kernel_matches_add_at_reference(stash, name, radius):
                 if best is not None:
                     want_rows.append((name, k, l, m, round(best, 12)))
     assert rd_check(group, radius, 3, 4, name)[0] == want_rows
+
+
+@pytest.mark.parametrize("trials", [37, 0])
+@pytest.mark.parametrize("name, radius", [("da3", 6), ("triangle345", 4)])
+def test_trial_batches_that_split_match_add_at_reference(stash, name, radius, trials):
+    # 37 trials split the largest cell into several batches, the last one partial
+    group = stash.group(name)
+    ball = group.ball(radius)
+    sizes = ball.sphere_sizes()
+    batch = harmonic._BATCH_TERMS // max(sizes[k] * sizes[radius - k] for k in range(radius + 1))
+    assert trials == 0 or (-(-trials // batch) >= 3 and trials % batch)
+    for k in range(radius + 1):
+        for l in range(radius - k + 1):
+            ms = range(abs(l - k), k + l + 1)
+            got = star_star_trials(group, ball, k, l, ms, trials, seed=11)
+            want = [(m, t, r) for m in ms for t, r in reference_ratios(group, ball, k, l, m, trials, 11)]
+            assert [(r["m"], r["trial"], r["ratio"]) for r in got] == want, (k, l)
+
+
+def test_trial_memory_does_not_grow_with_the_trial_count(stash):
+    # trials run in batches of bounded size: 100 times the trials, not 100 times the memory
+    group = stash.group("triangle444")
+    ball = group.ball(5)
+    k, l, ms = 2, 3, range(1, 6)  # the largest cell, 30 x 150 products: one trial per batch
+    star_star_trials(group, ball, k, l, ms, 1, seed=3)  # fill the engine's caches first
+
+    def peak(trials):
+        # the records returned grow with the trials by contract; count only the memory above them
+        tracemalloc.start()
+        try:
+            records = star_star_trials(group, ball, k, l, ms, trials, seed=3)
+            held, top = tracemalloc.get_traced_memory()
+            return top - held
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 2 * peak(4)
+
+
+def test_row_norms_are_numpy_norms_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 17, 300):
+        real = rng.standard_normal((5, size))
+        for x in (real, real + 1j * rng.standard_normal((5, size)), real[:, ::2]):
+            assert _norm(x).tolist() == [np.linalg.norm(row) for row in x]
 
 
 def reference_operator_norms(phi, radii, iterations):

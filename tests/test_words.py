@@ -114,3 +114,7 @@ def test_syllables_and_signs():
     assert sign_class(parse_word("AB")) == "negative"
     assert sign_class(parse_word("aB")) == "unsigned"
     assert sign_class(()) == "positive"
+    # the first negative letter comes last; one negative letter alone
+    assert sign_class(parse_word("abA")) == "unsigned"
+    assert sign_class(parse_word("A")) == "negative"
+    assert sign_class(parse_word("Ab")) == "unsigned"
