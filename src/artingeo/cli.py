@@ -10,6 +10,7 @@ Command-line surface.
     artingeo --preset triangle444 --out results/ d1-scan --radius 6
     artingeo --preset da3 d2-scan --radius 4
     artingeo --preset da3 rd-check --radius 5 --trials 20 --seed 1
+    artingeo --preset dainf opnorm --radius 7
     artingeo repro-paper
 
 Every subcommand accepts --json for a machine-readable report.  Precondition
@@ -32,6 +33,7 @@ import os
 import sys
 from pathlib import Path
 
+from .harmonic import GroupFunction, operator_norm_profile
 from .largetype import ArtinGroup, HypothesisError, OnetailFailure
 from .presets import PRESET_NAMES, resolve_presentation
 from .sweeps import d1_scan, d2_scan, rd_check, repro_paper
@@ -222,6 +224,13 @@ def cmd_rd_check(group, args):
     return 0, {"rows": rows, "summary": summary}, lines, files
 
 
+def cmd_opnorm(group, args):
+    chi = GroupFunction.sphere_indicator(group, group.ball(1), 1)
+    profile = operator_norm_profile(chi, range(2, args.radius + 1))
+    payload = {"lower_bounds": [{"radius": r, "value": v} for r, v in profile]}
+    return 0, payload, [f"R={r}: {v:.6f}" for r, v in profile], {}
+
+
 def cmd_repro(args):
     results = repro_paper()
     ok = all(r["ok"] for r in results)
@@ -242,6 +251,7 @@ GROUP_HANDLERS = {
     "d1-scan": cmd_d1_scan,
     "d2-scan": cmd_d2_scan,
     "rd-check": cmd_rd_check,
+    "opnorm": cmd_opnorm,
 }
 
 
@@ -287,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=5)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("opnorm", help="certified lower bounds for the operator norm of chi_C1")
+    p.add_argument("--radius", type=int, default=7)
     sub.add_parser("repro-paper", help="re-run the bundled worked examples")
     return ap
 

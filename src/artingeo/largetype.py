@@ -63,7 +63,6 @@ unique-tail property is reproduced.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -223,7 +222,8 @@ class ArtinGroup:
     def ld_prime(self, g: GroupElement, i: int, j: int):
         """
         (LD', case, tail letter): in case 1 every geodesic spelling of g has
-        a prefix spelling LD_ij(g) and LD' = LD; in case 2 the maximal
+        a prefix spelling LD_ij(g), i.e. LD is the only left divisor of g of
+        its length, and LD' = LD; in case 2 the maximal
         {i,j}-prefixes that fall short of LD all extend to it by powers of a
         single letter a, and LD' = LD a^{-s} with a^s the top power of a
         dividing LD on the right.
@@ -232,11 +232,10 @@ class ArtinGroup:
         i, j = self.dihedral_ctx(i, j).pair
         ld = self.ld(g, i, j)
         L = len(ld)
-        reps = self.engine.geodesic_words(g)
-        if all(functools.reduce(self.engine.extend, w[:L], ()) == ld.word for w in reps):
+        if {x for x in self.engine.left_divisor_words(g) if len(x) == L} == {ld.word}:
             return ld, 1, None
         letters: set[int] = set()
-        for w in reps:
+        for w in self.engine.geodesic_words(g):
             rest = self.element(_pair_prefix(w, i, j)).inv() * ld
             if len(rest) == 0:
                 continue

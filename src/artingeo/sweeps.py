@@ -228,11 +228,9 @@ def repro_paper() -> list[dict]:
     def rightward_example():
         group = ArtinGroup(load_preset("triangle345"))
         oracle = Oracle(group.pres)
-        t0 = time.perf_counter()
         nf = group.engine.nf("aBBAcbbCBacaacA")
-        elapsed = time.perf_counter() - t0
         target = parse_word("BAACBccbaccac")
-        ok = len(nf) == 13 and oracle.equal(nf, target) and elapsed < 1.0
+        ok = len(nf) == 13 and oracle.equal(nf, target)
         return ok, f"nf={format_word(nf)}"
 
     check("rightward-reduction-15-to-13", rightward_example)

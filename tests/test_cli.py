@@ -1,15 +1,19 @@
 """The command-line surface: outputs, JSON modes, artifacts, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+from artingeo import sweeps
 from artingeo.cli import main
+from artingeo.harmonic import GroupFunction, operator_norm_profile
 
 
 def run(capsys, *argv):
@@ -120,12 +124,14 @@ def test_error_json(capsys):
         ["--out", "unused", "divisors", "ab", "1", "2"],
         ["--out", "unused", "merge", "ab", "ab"],
         ["--out", "unused", "compress", "ab", "ab"],
+        ["--out", "unused", "opnorm"],
         ["repro-paper"],
         ["--allow-counterexample", "nf", "ab"],
         ["--allow-counterexample", "geodesic", "ab"],
         ["--allow-counterexample", "ball", "2"],
         ["--allow-counterexample", "d1-scan", "--radius", "2"],
         ["--allow-counterexample", "rd-check", "--radius", "2"],
+        ["--allow-counterexample", "opnorm"],
         ["d1-scan", "--radius", "4", "--min-kl", "1", "3"],
         ["divisors", "ab", "2", "2"],
         ["divisors", "ab", "0", "1"],
@@ -133,8 +139,9 @@ def test_error_json(capsys):
     ids=[
         "ball", "d1-scan", "d2-scan", "rd-check-radius", "rd-check-trials", "divisors",
         "d1-scan-min-kl", "d1-scan-min-kl-empty", "nf-out", "geodesic-out",
-        "divisors-out", "merge-out", "compress-out", "repro-paper-preset", "nf-allow",
-        "geodesic-allow", "ball-allow", "d1-scan-allow", "rd-check-allow", "d1-scan-min-kl-no-cell",
+        "divisors-out", "merge-out", "compress-out", "opnorm-out", "repro-paper-preset", "nf-allow",
+        "geodesic-allow", "ball-allow", "d1-scan-allow", "rd-check-allow", "opnorm-allow",
+        "d1-scan-min-kl-no-cell",
         "divisors-same", "divisors-zero",
     ],
 )
@@ -197,6 +204,14 @@ def test_repro_command(capsys):
     assert "all examples reproduced" in out
 
 
+def test_repro_verdicts_do_not_read_the_clock(monkeypatch):
+    # a slow machine: every clock read is 2 s after the one before
+    ticks = itertools.count(step=2.0)
+    monkeypatch.setattr(sweeps, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    results = sweeps.repro_paper()
+    assert results and all(r["ok"] for r in results), [r["name"] for r in results if not r["ok"]]
+
+
 def test_d1_artifacts_deterministic(tmp_path, capsys):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -232,23 +247,23 @@ def test_d1_min_kl_repeats_are_ignored(tmp_path, capsys):
     assert rows[1] == rows[2]
 
 
-def test_operator_norms_script():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    res = subprocess.run(
-        [sys.executable, str(root / "scripts" / "operator_norms.py"), "3", "dainf"],
-        capture_output=True, text=True, env=env, cwd=root,
-    )
-    assert res.returncode == 0, res.stderr
-    lines = [line.strip() for line in res.stdout.splitlines()]
+def test_opnorm_command(capsys):
+    code, out = run(capsys, "--preset", "dainf", "opnorm", "--radius", "3")
+    assert code == 0
+    lines = [line.strip() for line in out.splitlines()]
     assert "R=2: 2.933522" in lines and "R=3: 2.933522" in lines
-    # a maximum radius below 2 leaves no radii: a header and no rows
-    res = subprocess.run(
-        [sys.executable, str(root / "scripts" / "operator_norms.py"), "1", "dainf"],
-        capture_output=True, text=True, env=env, cwd=root,
-    )
-    assert res.returncode == 0, res.stderr
-    assert not any(line.strip().startswith("R=") for line in res.stdout.splitlines())
+    # a radius below 2 leaves no radii: no rows, and still exit 0
+    code, out = run(capsys, "--preset", "dainf", "opnorm", "--radius", "1")
+    assert code == 0
+    assert not any(line.strip().startswith("R=") for line in out.splitlines())
+
+
+def test_opnorm_json_carries_the_profile_unrounded(capsys, stash):
+    code, payload = run_json(capsys, "--preset", "da3", "--json", "opnorm", "--radius", "4")
+    group = stash.group("da3")
+    chi = GroupFunction.sphere_indicator(group, group.ball(1), 1)
+    want = [{"radius": r, "value": v} for r, v in operator_norm_profile(chi, range(2, 5))]
+    assert code == 0 and payload == {"lower_bounds": want}
 
 
 def test_rd_check_artifacts_deterministic(tmp_path, capsys):

@@ -188,19 +188,31 @@ def test_ld_is_the_longest_pair_word_among_the_left_divisors(stash, name, radius
             assert group.ld(g, i, j).word == top, (name, g.word, i, j)
 
 
-def ld_by_reordering(group, g, i, j):
-    """LD_ij(g) as the maximal {i,j}-prefix of g's normal form under a reordered engine."""
-    return group.element(_pair_prefix(group.engine.reordered(i, j).nf(g.word), i, j))
+def ld_from_oracle(ball, idx, i, j):
+    """LD_ij of oracle-ball element idx: the one longest left divisor spelled in names i and j."""
+    pair = [d for d in ball.left_divisors(idx) if names(ball.words[d]) <= {i, j}]
+    longest = max(ball.length[d] for d in pair)
+    (top,) = [d for d in pair if ball.length[d] == longest]
+    return top
+
+
+def rd_from_oracle(ball, idx, i, j):
+    """RD_ij of oracle-ball element idx, as LD_ij of the inverse, inverted."""
+    return ball.inverse(ld_from_oracle(ball, ball.inverse(idx), i, j))
 
 
 @pytest.mark.parametrize(
     "name, radius", [("triangle444", 5), ("da4", 6), ("counterexample433", 4)]
 )
-def test_ld_shortcut_and_rd_memo_match_the_reordered_engine(stash, name, radius):
-    # ld returns g itself when g is spelled in names i and j, and re-reduces
-    # under a reordered engine otherwise; the memoised rd is ld of the inverse
+def test_ld_shortcut_and_rd_memo_match_the_oracle_divisors(stash, name, radius):
+    # ld returns an element equal to g when g is spelled in names i and j, and
+    # re-reduces under a reordered engine otherwise; the memoised rd is ld of
+    # the inverse.
+    # The reference reads the oracle ball's divisors, whose ids and words are
+    # the engine ball's
     group = stash.group(name, allow_counterexample=name == "counterexample433")
-    ball = group.ball(radius)
+    ball, oracle = group.ball(radius), stash.oracle_ball(name, radius)
+    assert ball.words == oracle.words
     shortcut = reordered = 0
     for idx in range(len(ball)):
         g = ball.element(idx)
@@ -209,10 +221,11 @@ def test_ld_shortcut_and_rd_memo_match_the_reordered_engine(stash, name, radius)
                 shortcut += 1
             else:
                 reordered += 1
-            assert group.ld(g, i, j) == ld_by_reordering(group, g, i, j), (name, g, i, j)
+            ld_ref = oracle.words[ld_from_oracle(oracle, idx, i, j)]
+            assert group.ld(g, i, j).word == ld_ref, (name, g, i, j)
             rd = group.rd(g, i, j)
             assert rd == group.ld(g.inv(), i, j).inv(), (name, g, i, j)
-            assert rd == ld_by_reordering(group, g.inv(), i, j).inv(), (name, g, i, j)
+            assert rd.word == oracle.words[rd_from_oracle(oracle, idx, i, j)], (name, g, i, j)
     # on two generators every element lies in G(1,2)
     assert shortcut > 0 and (reordered > 0) == (group.pres.n > 2)
 
@@ -228,23 +241,27 @@ def test_ld_shortcut_and_rd_memo_match_the_reordered_engine(stash, name, radius)
         ("dainf", 4),
     ],
 )
-def test_permissible_matches_the_per_pair_reordered_formula(stash, name, radius):
+def test_permissible_matches_the_per_pair_oracle_formula(stash, name, radius):
     # seeded pairs, geodesic or not, half of them drawn from the positive
     # elements so that Delta-decreasing rejections occur: the verdict read off
-    # the facing tuples equals the one that re-reduces each pair's divisors
+    # the facing tuples equals the one that reads each pair's divisors off
+    # the oracle ball
     group = stash.group(name, allow_counterexample=name == "counterexample433")
-    ball = group.ball(radius)
+    ball, oracle = group.ball(radius), stash.oracle_ball(name, radius)
+    assert ball.words == oracle.words
     positive = [idx for idx, w in enumerate(ball.words) if all(a > 0 for a in w)]
     finite = [p for p in group.pres.pairs() if group.pres.label(*p) is not INF]
     rng = random.Random(7)
     kinds = set()
     for t in range(600):
         pool = positive if t % 2 else range(len(ball))
-        u, v = (ball.element(rng.choice(pool)) for _ in range(2))
+        iu, iv = (rng.choice(pool) for _ in range(2))
+        u, v = ball.element(iu), ball.element(iv)
         geodesic = len(u * v) == len(u) + len(v)
         want = geodesic and all(
             group.dihedral_ctx(i, j).permissible(
-                ld_by_reordering(group, u.inv(), i, j).inv(), ld_by_reordering(group, v, i, j)
+                group.element(oracle.words[rd_from_oracle(oracle, iu, i, j)]),
+                group.element(oracle.words[ld_from_oracle(oracle, iv, i, j)]),
             )[0]
             for i, j in finite
         )
@@ -269,6 +286,54 @@ def test_ld_prime_cases(g345):
             ld = g345.ld(g, 1, 2)
             rest = ldp.inv() * ld
             assert len(rest) > 0 and all(x == rest.word[0] for x in rest.word)
+
+
+def ld_prime_by_spelling_prefixes(group, g, i, j):
+    """(LD' word, case, tail letter) by the spelling-prefix rule, or the OnetailFailure letters."""
+    ld = group.ld(g, i, j)
+    reps = group.engine.geodesic_words(g)
+    if all(group.engine.nf(w[: len(ld)]) == ld.word for w in reps):
+        return ld.word, 1, None
+    letters = set()
+    for w in reps:
+        rest = group.element(_pair_prefix(w, i, j)).inv() * ld
+        if len(rest) == 0:
+            continue
+        if any(x != rest.word[0] for x in rest.word):
+            return set()
+        letters.add(rest.word[0])
+    if len(letters) != 1:
+        return letters
+    (a,) = letters
+    s = group.engine.strip_power(ld, group.element((-a,)))
+    return (ld * group.element((-a,) * s)).word, 2, a
+
+
+@pytest.mark.parametrize(
+    "name, radius", [("triangle345", 4), ("counterexample433", 4), ("da4", 6)]
+)
+def test_ld_prime_matches_the_spelling_prefix_rule(stash, name, radius):
+    # case 1 reads the left-divisor set: LD is the only left divisor of its
+    # length exactly when every geodesic spelling has a prefix spelling LD
+    group = stash.group(name, allow_counterexample=name == "counterexample433")
+    ball = group.ball(radius)
+    elements = [ball.element(idx) for idx in range(len(ball))]
+    if name == "counterexample433":  # the unique-tail failure lies outside the ball
+        elements.append(group.element("babacabab"))
+    cases = set()
+    for g in elements:
+        for i, j in group.pres.pairs():
+            try:
+                ldp, case, letter = group.ld_prime(g, i, j)
+                got = (ldp.word, case, letter)
+                cases.add(case)
+            except OnetailFailure as exc:
+                got = exc.letters
+                cases.add("failure")
+            assert got == ld_prime_by_spelling_prefixes(group, g, i, j), (name, g.word, i, j)
+    # on two generators every element lies in G(1,2), which is case 1
+    assert 1 in cases and (2 in cases) == (group.pres.n > 2)
+    assert ("failure" in cases) == (name == "counterexample433")
 
 
 def test_ld_prime_guard_and_counterexample(stash):
